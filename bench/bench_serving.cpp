@@ -21,8 +21,8 @@
 //              amid cheap ones) against the solve54 engine with a multi-
 //              guess probe grid, so the work-stealing pools and the
 //              auto-tuner actually engage; the row carries the scheduler
-//              counters and tuner state the stats frame now exposes, and
-//              the bench fails if no pool task ran or the tuner was never
+//              counters and the serving solver's tuner state, and the
+//              bench fails if no pool task ran or the tuner was never
 //              consulted.
 //
 // One JSON row per phase, the same flat shape every bench prints.
@@ -40,6 +40,7 @@
 
 #include "bench_common.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 #include "service/daemon.hpp"
 
 namespace {
@@ -109,10 +110,9 @@ struct PhaseResult {
 }
 
 void print_phase_row(const std::string& phase, const PhaseResult& result,
-                     const service::WireStats& stats, double wall_seconds,
+                     const service::CacheStats& stats, double wall_seconds,
                      std::uint64_t warm_loaded) {
-  const double total =
-      static_cast<double>(stats.cache.hits + stats.cache.misses);
+  const double total = static_cast<double>(stats.hits + stats.misses);
   JsonRow()
       .field("bench", "serving")
       .field("phase", phase)
@@ -121,9 +121,9 @@ void print_phase_row(const std::string& phase, const PhaseResult& result,
       .field("zipf_s", kZipfS)
       .field("p50_ms", percentile(result.latencies_ms, 0.50))
       .field("p99_ms", percentile(result.latencies_ms, 0.99))
-      .field("hits", stats.cache.hits)
-      .field("misses", stats.cache.misses)
-      .field("hit_rate", total == 0.0 ? 0.0 : stats.cache.hits / total)
+      .field("hits", stats.hits)
+      .field("misses", stats.misses)
+      .field("hit_rate", total == 0.0 ? 0.0 : stats.hits / total)
       .field("warm_loaded", warm_loaded)
       .field("wall_s", wall_seconds)
       .print(std::cout);
@@ -165,7 +165,7 @@ int main() {
     Stopwatch wall;
     cold = play_trace(daemon.port(), wires, trace);
     const double wall_seconds = wall.seconds();
-    print_phase_row("cold", cold, daemon.wire_stats(), wall_seconds,
+    print_phase_row("cold", cold, daemon.solver().stats(), wall_seconds,
                     daemon.stats().warm_loaded);
     daemon.stop();  // graceful drain: compacts the cache to state_dir
   }
@@ -178,11 +178,11 @@ int main() {
     Stopwatch wall;
     const PhaseResult warm = play_trace(daemon.port(), wires, trace);
     const double wall_seconds = wall.seconds();
-    const service::WireStats stats = daemon.wire_stats();
+    const service::CacheStats stats = daemon.solver().stats();
     print_phase_row("warm", warm, stats, wall_seconds, warm_loaded);
-    if (warm_loaded == 0 || stats.cache.misses != 0) {
+    if (warm_loaded == 0 || stats.misses != 0) {
       std::cerr << "FAIL: warm restart missed (warm_loaded=" << warm_loaded
-                << ", misses=" << stats.cache.misses << ")\n";
+                << ", misses=" << stats.misses << ")\n";
       identical = false;
     }
     for (std::size_t r = 0; r < trace.size(); ++r) {
@@ -340,7 +340,7 @@ int main() {
     obs::set_metrics_enabled(true);  // restore the process defaults
     obs::set_tracing_enabled(false);
     const std::uint64_t spans_recorded =
-        daemon.wire_stats().obs.spans_recorded;
+        obs::Tracer::global().spans_recorded();
     double wall_s[3];
     for (std::size_t m = 0; m < 3; ++m) {
       std::sort(rep_seconds[m].begin(), rep_seconds[m].end());
@@ -405,7 +405,8 @@ int main() {
     const PhaseResult result = play_trace(daemon.port(), skew_wires,
                                           skew_trace);
     const double wall_seconds = wall.seconds();
-    const service::WireStats stats = daemon.wire_stats();
+    const runtime::SchedulerCounters sched = runtime::scheduler_totals();
+    const runtime::TunerSnapshot tuner = daemon.solver().tuner_snapshot();
     JsonRow()
         .field("bench", "serving")
         .field("phase", "sched")
@@ -414,22 +415,22 @@ int main() {
         .field("zipf_s", kZipfS)
         .field("p50_ms", percentile(result.latencies_ms, 0.50))
         .field("p99_ms", percentile(result.latencies_ms, 0.99))
-        .field("sched_submitted", stats.scheduler.submitted)
-        .field("sched_executed", stats.scheduler.executed)
-        .field("steals", stats.scheduler.steals)
-        .field("steal_fails", stats.scheduler.steal_fails)
-        .field("occupancy", stats.scheduler.occupancy)
-        .field("tuner_decisions", stats.scheduler.tuner_decisions)
-        .field("attempt_ewma_nanos", stats.scheduler.attempt_ewma_nanos)
-        .field("probe_concurrency", stats.scheduler.probe_concurrency)
-        .field("pricing_threads", stats.scheduler.pricing_threads)
+        .field("sched_submitted", sched.submitted)
+        .field("sched_executed", sched.executed)
+        .field("steals", sched.steals)
+        .field("steal_fails", sched.steal_fails)
+        .field("occupancy", runtime::process_active_workers())
+        .field("tuner_decisions", tuner.decisions)
+        .field("attempt_ewma_nanos", tuner.attempt_ewma_nanos)
+        .field("probe_concurrency", tuner.last_probe_concurrency)
+        .field("pricing_threads", tuner.last_pricing_threads)
         .field("wall_s", wall_seconds)
         .print(std::cout);
-    if (stats.scheduler.executed == 0) {
+    if (sched.executed == 0) {
       std::cerr << "FAIL: sched phase ran no pool tasks\n";
       identical = false;
     }
-    if (stats.scheduler.tuner_decisions == 0) {
+    if (tuner.decisions == 0) {
       std::cerr << "FAIL: sched phase never consulted the auto-tuner\n";
       identical = false;
     }

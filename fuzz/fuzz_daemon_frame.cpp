@@ -64,15 +64,6 @@ void decode_payload(std::uint8_t type, const std::string& payload) {
     } catch (const dsp::InvalidInput&) {
     }
   }
-  if (type == frame::kStatsOk) {
-    try {
-      const dsp::service::WireStats stats =
-          frame::decode_stats(payload, "fuzz stats_ok payload");
-      expect(frame::encode_stats(stats) == payload,
-             "stats_ok decode/encode round-trip mismatch");
-    } catch (const dsp::InvalidInput&) {
-    }
-  }
   if (type == frame::kMetricsOk) {
     try {
       const std::string exposition =
@@ -93,8 +84,9 @@ void decode_payload(std::uint8_t type, const std::string& payload) {
     } catch (const dsp::InvalidInput&) {
     }
   }
-  // Any other type: the daemon answers with an error frame and closes —
-  // there is no decoder to drive.
+  // Any other type (including the retired stats request, type 2): the
+  // daemon answers with an error frame and closes — there is no decoder
+  // to drive.
 }
 
 }  // namespace

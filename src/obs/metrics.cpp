@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <limits>
 #include <sstream>
+
+#include "util/check.hpp"
 
 namespace dsp::obs {
 
@@ -213,6 +216,34 @@ std::string Registry::prometheus_text() const {
     os << name << "_count " << histogram.total << "\n";
   }
   return std::move(os).str();
+}
+
+std::map<std::string, std::uint64_t> parse_exposition(std::string_view text) {
+  std::map<std::string, std::uint64_t> out;
+  while (!text.empty()) {
+    const std::size_t end = std::min(text.find('\n'), text.size());
+    const std::string_view line = text.substr(0, end);
+    text.remove_prefix(std::min(end + 1, text.size()));
+    if (line.empty() || line.front() == '#' ||
+        line.find('{') != std::string_view::npos) {
+      continue;
+    }
+    const std::size_t space = line.find(' ');
+    std::uint64_t value = 0;
+    bool ok = space != std::string_view::npos && space > 0;
+    if (ok) {
+      const char* last = line.data() + line.size();
+      const auto [ptr, error] =
+          std::from_chars(line.data() + space + 1, last, value);
+      ok = error == std::errc() && ptr == last;
+    }
+    if (!ok) {
+      throw InvalidInput("metrics exposition: malformed sample line \"" +
+                         std::string(line) + "\"");
+    }
+    out[std::string(line.substr(0, space))] = value;
+  }
+  return out;
 }
 
 }  // namespace dsp::obs

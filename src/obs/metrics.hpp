@@ -6,8 +6,8 @@
 //
 // Before this layer, every stats consumer was hand-wired: CacheStats,
 // SchedulerCounters, TunerSnapshot, AdmissionGate::Counters and the
-// daemon's own atomics each grew bespoke plumbing through
-// CachingSolver::stats() and the stats frame.  The registry unifies them:
+// daemon's own atomics each grew bespoke plumbing.  The registry unifies
+// them, and its exposition is the only way counters leave the process:
 //
 //  * owned instruments — Counter (sharded-atomic, monotonic), Gauge
 //    (last-value), Histogram (64 log2 buckets, sharded-atomic, exact
@@ -249,5 +249,13 @@ class Registry {
   std::vector<SourceEntry> sources_ DSP_GUARDED_BY(mutex_);
   std::uint64_t next_token_ DSP_GUARDED_BY(mutex_) = 1;
 };
+
+/// The reader side of prometheus_text(): exposition name -> value for every
+/// unlabelled sample line (counters, gauges, and each histogram's `_sum` /
+/// `_count`; `_bucket{le=...}` lines and comments are skipped).  Gauges come
+/// back as the uint64 the exposition printed.  Throws InvalidInput on a
+/// sample line that is not `name value`.
+[[nodiscard]] std::map<std::string, std::uint64_t> parse_exposition(
+    std::string_view text);
 
 }  // namespace dsp::obs

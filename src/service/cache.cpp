@@ -306,12 +306,20 @@ CachingSolver::CachingSolver(const ServeParams& params,
       fingerprint_(params_fingerprint(params)),
       cache_(cache_options) {
   // Pull-source: serving-layer counters materialize in the registry on
-  // demand (stats frame, --metrics-out) instead of being double-counted
+  // demand (metrics frame, --metrics-out) instead of being double-counted
   // into push-style instruments.  Registration order means a newer solver
   // in the same process shadows an older one's samples, which matches the
   // "latest solver owns the serving stack" semantics of the daemon.
   obs_source_ = obs::Registry::global().register_source(
       [this](std::vector<obs::Sample>& out) {
+        // One-hot engine gauges: every engine is exported, so a newer
+        // solver's samples shadow all of an older one's.
+        for (const ServeEngine engine :
+             {ServeEngine::kPortfolio, ServeEngine::kSolve54}) {
+          out.push_back({"serve.engine_" + std::string(to_string(engine)),
+                         engine == params_.engine ? 1u : 0u, true});
+        }
+        out.push_back({"cache.capacity_bytes", cache_.capacity_bytes(), true});
         const CacheStats cache = cache_.stats();
         out.push_back({"cache.hits", cache.hits, false});
         out.push_back({"cache.misses", cache.misses, false});
@@ -325,6 +333,8 @@ CachingSolver::CachingSolver(const ServeParams& params,
         out.push_back({"scheduler.executed", sched.executed, false});
         out.push_back({"scheduler.steals", sched.steals, false});
         out.push_back({"scheduler.steal_fails", sched.steal_fails, false});
+        out.push_back(
+            {"scheduler.occupancy", runtime::process_active_workers(), true});
         const runtime::TunerSnapshot tuner = tuner_.snapshot();
         out.push_back({"tuner.attempt_samples", tuner.attempt_samples, false});
         out.push_back(

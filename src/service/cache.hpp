@@ -135,6 +135,8 @@ struct CacheStats {
   std::uint64_t oversized = 0;
   std::uint64_t entries = 0;  ///< currently resident
   std::uint64_t bytes = 0;    ///< currently charged
+
+  [[nodiscard]] bool operator==(const CacheStats&) const = default;
 };
 
 /// One resident entry, as exported for persistence (persist.hpp).  The
@@ -269,13 +271,6 @@ class CachingSolver {
   [[nodiscard]] const ServeParams& params() const { return params_; }
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
   [[nodiscard]] CacheStats stats() const { return cache_.stats(); }
-  /// Scheduler counters for stats surfaces: process-wide totals from
-  /// retired pools (this solver's batch pools and solve54's probe/pricing
-  /// pools are per-call, so they have always been destroyed — and folded
-  /// into the totals — by the time a stats reader arrives).
-  [[nodiscard]] runtime::SchedulerCounters scheduler_counters() const {
-    return runtime::scheduler_totals();
-  }
   /// This solver's long-lived auto-tuner state (EWMA, last knob choices).
   [[nodiscard]] runtime::TunerSnapshot tuner_snapshot() const {
     return tuner_.snapshot();

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <charconv>
 #include <filesystem>
+#include <map>
 #include <ostream>
 
+#include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/json_row.hpp"
 
@@ -85,6 +87,36 @@ void print_summary_row(std::ostream& os, const SummaryRow& row) {
       .field("entries", row.stats.entries)
       .field("cache_mb", row.cache_mb)
       .print(os);
+}
+
+ServedView read_served_view(std::string_view exposition) {
+  const std::map<std::string, std::uint64_t> samples =
+      obs::parse_exposition(exposition);
+  const auto sample = [&](const std::string& name) {
+    const auto it = samples.find("dsp_" + name);
+    DSP_REQUIRE(it != samples.end(),
+                "daemon metrics exposition has no dsp_" << name << " sample");
+    return it->second;
+  };
+  ServedView view;
+  constexpr std::string_view kEnginePrefix = "dsp_serve_engine_";
+  for (const auto& [name, value] : samples) {
+    if (value == 1 && name.starts_with(kEnginePrefix)) {
+      view.engine = name.substr(kEnginePrefix.size());
+    }
+  }
+  DSP_REQUIRE(!view.engine.empty(),
+              "daemon metrics exposition names no serving engine");
+  view.stats.hits = sample("cache_hits");
+  view.stats.misses = sample("cache_misses");
+  view.stats.inflight_joins = sample("cache_inflight_joins");
+  view.stats.evictions = sample("cache_evictions");
+  view.stats.oversized = sample("cache_oversized");
+  view.stats.entries = sample("cache_entries");
+  view.stats.bytes = sample("cache_bytes");
+  view.cache_mb =
+      static_cast<std::size_t>(sample("cache_capacity_bytes") >> 20);
+  return view;
 }
 
 }  // namespace dsp::service

@@ -64,4 +64,17 @@ struct SummaryRow {
 
 void print_summary_row(std::ostream& os, const SummaryRow& row);
 
+/// What dsp_served's client mode reports on the daemon's behalf, read from
+/// the daemon's metrics exposition (the one stats surface): the engine its
+/// answer rows name and its summary row's cache counters and budget.
+struct ServedView {
+  std::string engine;  ///< the `serve_engine_*` gauge that reads 1
+  CacheStats stats;
+  std::size_t cache_mb = 0;
+};
+
+/// Parses a metrics_ok exposition (obs::parse_exposition) into a
+/// ServedView.  Throws InvalidInput when a sample it needs is missing.
+[[nodiscard]] ServedView read_served_view(std::string_view exposition);
+
 }  // namespace dsp::service

@@ -115,8 +115,8 @@ Daemon::Daemon(const DaemonOptions& options)
   port_ = ntohs(bound.sin_port);
 
   // Registered after every member above is live; the source only reads
-  // atomics, the gate's own lock, and the store's counters, so stats and
-  // metrics frames may pull it concurrently with serving.
+  // atomics, the gate's own lock, the tracer's counters and the store's
+  // counters, so metrics frames may pull it concurrently with serving.
   obs_source_ = obs::Registry::global().register_source(
       [this](std::vector<obs::Sample>& out) {
         out.push_back({"daemon.accepted", accepted_.load(), false});
@@ -136,6 +136,10 @@ Daemon::Daemon(const DaemonOptions& options)
         out.push_back({"admission.active", gate.active, true});
         out.push_back({"admission.waiting", gate.waiting, true});
         out.push_back({"admission.peak_waiting", gate.peak_waiting, true});
+        out.push_back({"trace.spans_recorded",
+                       obs::Tracer::global().spans_recorded(), false});
+        out.push_back({"trace.spans_dropped",
+                       obs::Tracer::global().spans_dropped(), false});
         if (store_) {
           out.push_back({"persist.appends", store_->appends(), false});
           out.push_back({"persist.compactions", store_->compactions(), false});
@@ -190,39 +194,6 @@ DaemonStats Daemon::stats() const {
   stats.errors = errors_.load();
   stats.warm_loaded = warm_loaded_;
   stats.draining = draining_.load();
-  return stats;
-}
-
-WireStats Daemon::wire_stats() const {
-  WireStats stats;
-  stats.engine = std::string(to_string(options_.serve.engine));
-  stats.capacity_bytes = options_.cache.capacity_bytes;
-  stats.cache = solver_.stats();
-  stats.daemon = this->stats();
-  if (store_) {
-    stats.persisted_appends = store_->appends();
-    stats.compactions = store_->compactions();
-  }
-  const runtime::SchedulerCounters scheduler = solver_.scheduler_counters();
-  stats.scheduler.submitted = scheduler.submitted;
-  stats.scheduler.executed = scheduler.executed;
-  stats.scheduler.steals = scheduler.steals;
-  stats.scheduler.steal_fails = scheduler.steal_fails;
-  stats.scheduler.occupancy = runtime::process_active_workers();
-  const runtime::TunerSnapshot tuner = solver_.tuner_snapshot();
-  stats.scheduler.tuner_decisions = tuner.decisions;
-  stats.scheduler.attempt_ewma_nanos = tuner.attempt_ewma_nanos;
-  stats.scheduler.probe_concurrency = tuner.last_probe_concurrency;
-  stats.scheduler.pricing_threads = tuner.last_pricing_threads;
-  const obs::HistogramSnapshot request =
-      obs::phase_histogram(obs::Phase::kRequest).snapshot();
-  stats.obs.request_count = request.total;
-  stats.obs.request_p50_nanos = request.quantile(50, 100);
-  stats.obs.request_p95_nanos = request.quantile(95, 100);
-  stats.obs.request_p99_nanos = request.quantile(99, 100);
-  stats.obs.spans_recorded = obs::Tracer::global().spans_recorded();
-  stats.obs.spans_dropped = obs::Tracer::global().spans_dropped();
-  stats.obs.tracing_enabled = obs::tracing_enabled();
   return stats;
 }
 
@@ -316,9 +287,6 @@ bool Daemon::handle_frame(int fd, std::uint8_t type, std::string payload) {
                            frame::encode_message(error.what()));
       }
     }
-    case frame::kStats:
-      return write_frame(fd, frame::kStatsOk,
-                         frame::encode_stats(wire_stats()));
     case frame::kMetrics:
       return write_frame(
           fd, frame::kMetricsOk,
@@ -432,15 +400,6 @@ SolveResponse DaemonClient::solve(const WireInstance& instance,
   DSP_REQUIRE(reply.status == SolveReply::Status::kOk,
               peer_ << ": " << reply.message);
   return std::move(reply.response);
-}
-
-WireStats DaemonClient::stats() {
-  send_frame(frame::kStats, std::string());
-  auto [type, payload] = read_frame();
-  DSP_REQUIRE(type == frame::kStatsOk,
-              peer_ << ": unexpected reply frame type "
-                    << static_cast<int>(type) << " to a stats request");
-  return frame::decode_stats(std::move(payload), peer_ + ": stats_ok frame");
 }
 
 std::string DaemonClient::metrics() {

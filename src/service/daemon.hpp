@@ -10,11 +10,13 @@
 //   requests             responses
 //   1 solve   (instance) 1 solve_ok   (u8 outcome, i64 peak, str winner,
 //                                      u64 n, i64 start[n])
-//   2 stats   (empty)    2 error      (str message)
-//   3 metrics (empty)    3 stats_ok   (u8 version, counters record —
-//                                      see WireStats / kStatsVersion)
+//   3 metrics (empty)    2 error      (str message)
 //                        4 busy       (str reason — shed or draining)
 //                        5 metrics_ok (u8 version, str Prometheus text)
+//
+// Request 2 (stats) and response 3 (stats_ok) are retired and never reused;
+// a type-2 request is answered as an unknown type.  metrics_ok is the one
+// stats surface: every counter leaves the process through obs::Registry.
 //
 // A solve payload is one DSPW instance record, binary or JSON (the same
 // auto-detection as load_instance); the response packing is in the
@@ -44,7 +46,6 @@
 #include "runtime/admission.hpp"
 #include "runtime/sync.hpp"
 #include "service/cache.hpp"
-#include "service/frame_codec.hpp"
 #include "service/persist.hpp"
 #include "service/wire.hpp"
 
@@ -65,8 +66,17 @@ struct DaemonOptions {
   std::size_t snapshot_every = 256;
 };
 
-// DaemonStats and WireStats (the stats_ok payload record) live in
-// frame_codec.hpp with the codecs that serialize them.
+/// In-process lifetime counters (the same values the daemon.* registry
+/// samples export over the metrics frame).
+struct DaemonStats {
+  std::uint64_t accepted = 0;     ///< connections accepted
+  std::uint64_t requests = 0;     ///< frames received
+  std::uint64_t served = 0;       ///< solve_ok responses
+  std::uint64_t shed = 0;         ///< busy responses (queue full or draining)
+  std::uint64_t errors = 0;       ///< error responses
+  std::uint64_t warm_loaded = 0;  ///< entries restored from disk at boot
+  bool draining = false;
+};
 
 class Daemon {
  public:
@@ -91,7 +101,6 @@ class Daemon {
   void stop();
 
   [[nodiscard]] DaemonStats stats() const;
-  [[nodiscard]] WireStats wire_stats() const;
   [[nodiscard]] CachingSolver& solver() { return solver_; }
   [[nodiscard]] const DaemonOptions& options() const { return options_; }
 
@@ -165,8 +174,6 @@ class DaemonClient {
   /// try_solve that throws InvalidInput on busy/error replies.
   [[nodiscard]] SolveResponse solve(const WireInstance& instance,
                                     WireFormat format = WireFormat::kBinary);
-
-  [[nodiscard]] WireStats stats();
 
   /// Fetches the daemon's metrics exposition (Prometheus-style text) via a
   /// metrics frame.  Throws InvalidInput on protocol errors, including a

@@ -21,9 +21,9 @@
 //
 // Observability (DESIGN.md, "Observability"): --metrics-out writes the
 // Prometheus-style exposition at drain; --trace-out switches the phase
-// tracer on and writes the Chrome trace-event JSON at drain.  The drained
-// row gains the request-latency quantiles, and one "phase" row per
-// observed phase carries the latency breakdown.  Neither flag changes any
+// tracer on and writes the Chrome trace-event JSON at drain.  One "phase"
+// row per observed phase carries the latency breakdown (the "request" row
+// holds the request-latency quantiles).  Neither flag changes any
 // packing (the bit-identity suite in tests/test_obs.cpp).
 //
 // Client mode sends each instance file to a running daemon and prints rows
@@ -33,8 +33,10 @@
 //              [--format binary|json] [--metrics-out FILE]
 //              <file-or-directory>...
 //
-// In client mode --metrics-out fetches the *daemon's* exposition over a
-// metrics frame and writes it to FILE (stdout rows stay byte-identical).
+// Client mode reads the engine and the summary counters from the daemon's
+// exposition, fetched with one metrics frame after the last solve, and
+// prints the rows then; --metrics-out writes that same exposition to FILE
+// (stdout rows stay byte-identical).
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on load/solve/connect
 // failures.
@@ -277,7 +279,6 @@ int run_daemon(const CliOptions& options) {
   // Lifetime scheduler counters ride along: by drain time every transient
   // pool has retired, so the process-wide totals are complete.
   const runtime::SchedulerCounters sched = runtime::scheduler_totals();
-  const service::ObsStats obs_stats = daemon.wire_stats().obs;
   JsonRow()
       .field("dsp_served", "drained")
       .field("accepted", stats.accepted)
@@ -287,11 +288,8 @@ int run_daemon(const CliOptions& options) {
       .field("errors", stats.errors)
       .field("steals", sched.steals)
       .field("steal_fails", sched.steal_fails)
-      .field("request_p50_nanos", obs_stats.request_p50_nanos)
-      .field("request_p95_nanos", obs_stats.request_p95_nanos)
-      .field("request_p99_nanos", obs_stats.request_p99_nanos)
-      .field("spans_recorded", obs_stats.spans_recorded)
-      .field("spans_dropped", obs_stats.spans_dropped)
+      .field("spans_recorded", obs::Tracer::global().spans_recorded())
+      .field("spans_dropped", obs::Tracer::global().spans_dropped())
       .print(std::cout);
   // Phase-level latency breakdown, one row per phase that fired (coarse
   // log2-bucket quantiles; the histograms live for the process lifetime).
@@ -331,9 +329,6 @@ int run_daemon(const CliOptions& options) {
 int run_client(const CliOptions& options,
                const std::vector<std::string>& files) {
   service::DaemonClient client(options.connect_port, options.host);
-  // The daemon, not this client, owns the engine and the cache budget the
-  // rows report.
-  const service::WireStats server = client.stats();
 
   std::vector<service::WireInstance> wires;
   std::vector<Height> lower_bounds;
@@ -343,29 +338,31 @@ int run_client(const CliOptions& options,
     lower_bounds.push_back(combined_lower_bound(wires.back().to_instance()));
   }
 
-  std::size_t requests = 0;
+  std::vector<service::AnswerRow> rows;
   for (std::size_t pass = 0; pass < options.repeat; ++pass) {
     for (std::size_t f = 0; f < wires.size(); ++f) {
       const service::SolveResponse response =
           client.solve(wires[f], options.format);
-      ++requests;
-      service::print_answer_row(
-          std::cout, service::AnswerRow{files[f], wires[f].name,
-                                        wires[f].items.size(),
-                                        wires[f].strip_width, server.engine,
-                                        lower_bounds[f], response.peak,
-                                        response.winner, response.outcome});
+      rows.push_back(service::AnswerRow{
+          files[f], wires[f].name, wires[f].items.size(), wires[f].strip_width,
+          "", lower_bounds[f], response.peak, response.winner,
+          response.outcome});
     }
   }
 
-  const service::WireStats after = client.stats();
+  // The daemon, not this client, owns the engine and the cache budget the
+  // rows report: one metrics frame after the last solve carries both, plus
+  // the summary counters.
+  const std::string exposition = client.metrics();
+  const service::ServedView served = service::read_served_view(exposition);
+  for (service::AnswerRow& row : rows) {
+    row.engine = served.engine;
+    service::print_answer_row(std::cout, row);
+  }
   service::print_summary_row(
-      std::cout,
-      service::SummaryRow{requests, files.size(), options.repeat, after.cache,
-                          static_cast<std::size_t>(after.capacity_bytes >> 20)});
+      std::cout, service::SummaryRow{rows.size(), files.size(), options.repeat,
+                                     served.stats, served.cache_mb});
   if (!options.metrics_out.empty()) {
-    // The daemon's exposition (this client records no metrics of note).
-    const std::string exposition = client.metrics();
     write_observability_file(options.metrics_out, "metrics exposition",
                              [&](std::ostream& os) { os << exposition; });
   }

@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -17,9 +23,12 @@
 #include <vector>
 
 #include "gen/smart_grid.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "runtime/admission.hpp"
 #include "service/cli.hpp"
 #include "service/daemon.hpp"
+#include "service/frame_codec.hpp"
 #include "service/persist.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -186,6 +195,58 @@ TEST(CliHelpersTest, ExpandPathsDiagnosesMissingAndEmptyPaths) {
   EXPECT_EQ(files[1], dir.path() + "/b.json");
 }
 
+TEST(CliHelpersTest, ReadServedViewNamesTheSampleItLacks) {
+  // dsp_served --connect prints its summary row from the daemon's
+  // exposition; a sample it needs but cannot find is an error naming that
+  // sample, never a row of silent zeros.
+  const std::string exposition =
+      "# TYPE dsp_serve_engine_portfolio gauge\n"
+      "dsp_serve_engine_portfolio 0\n"
+      "# TYPE dsp_serve_engine_solve54 gauge\n"
+      "dsp_serve_engine_solve54 1\n"
+      "dsp_cache_hits 7\n"
+      "dsp_cache_misses 3\n"
+      "dsp_cache_inflight_joins 1\n"
+      "dsp_cache_evictions 2\n"
+      "dsp_cache_oversized 4\n"
+      "dsp_cache_entries 5\n"
+      "dsp_cache_bytes 4096\n"
+      "dsp_cache_capacity_bytes 8388608\n";
+  const ServedView view = read_served_view(exposition);
+  EXPECT_EQ(view.engine, "solve54");
+  EXPECT_EQ(view.stats.hits, 7u);
+  EXPECT_EQ(view.stats.misses, 3u);
+  EXPECT_EQ(view.stats.inflight_joins, 1u);
+  EXPECT_EQ(view.stats.evictions, 2u);
+  EXPECT_EQ(view.stats.oversized, 4u);
+  EXPECT_EQ(view.stats.entries, 5u);
+  EXPECT_EQ(view.stats.bytes, 4096u);
+  EXPECT_EQ(view.cache_mb, 8u);
+
+  const auto error_of = [](const std::string& text) -> std::string {
+    try {
+      (void)read_served_view(text);
+    } catch (const InvalidInput& error) {
+      return error.what();
+    }
+    return "";
+  };
+  const auto without = [&](const std::string& line) {
+    std::string text = exposition;
+    text.erase(text.find(line), line.size());
+    return text;
+  };
+  EXPECT_NE(error_of(without("dsp_cache_capacity_bytes 8388608\n"))
+                .find("no dsp_cache_capacity_bytes sample"),
+            std::string::npos);
+  EXPECT_NE(error_of(without("dsp_cache_misses 3\n"))
+                .find("no dsp_cache_misses sample"),
+            std::string::npos);
+  EXPECT_NE(error_of(without("dsp_serve_engine_solve54 1\n"))
+                .find("names no serving engine"),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Persistence: the at-rest encoding and the snapshot + log store.
 // ---------------------------------------------------------------------------
@@ -329,6 +390,74 @@ DaemonOptions test_options() {
   return options;
 }
 
+/// The daemon's metrics exposition, parsed: the one stats surface.
+using Samples = std::map<std::string, std::uint64_t>;
+
+Samples scrape(DaemonClient& client) {
+  return obs::parse_exposition(client.metrics());
+}
+
+/// A bare loopback connection, for frames DaemonClient never sends.
+class RawConnection {
+ public:
+  explicit RawConnection(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_port = htons(port);
+    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    connected_ = fd_ >= 0 &&
+                 ::connect(fd_, reinterpret_cast<const sockaddr*>(&address),
+                           sizeof(address)) == 0;
+    // A daemon that never answers or never closes fails the test instead
+    // of hanging it.
+    const timeval timeout{5, 0};
+    (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                       sizeof(timeout));
+  }
+  ~RawConnection() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  void send(const std::string& bytes) {
+    ASSERT_TRUE(connected_);
+    ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  /// One whole reply frame: {type, payload}.
+  std::pair<std::uint8_t, std::string> read_frame() {
+    const std::string header = read_exact(frame::kHeaderSize);
+    if (header.size() != frame::kHeaderSize) return {0, ""};
+    const frame::Header parsed = frame::parse_header(header.data());
+    return {parsed.type, read_exact(parsed.length)};
+  }
+
+  /// True once the daemon has closed its end (recv sees EOF).
+  bool closed_by_peer() {
+    char byte = 0;
+    return ::recv(fd_, &byte, 1, 0) == 0;
+  }
+
+ private:
+  std::string read_exact(std::size_t count) {
+    std::string bytes(count, '\0');
+    std::size_t got = 0;
+    while (got < count) {
+      const ssize_t chunk = ::recv(fd_, bytes.data() + got, count - got, 0);
+      if (chunk <= 0) break;
+      got += static_cast<std::size_t>(chunk);
+    }
+    bytes.resize(got);
+    return bytes;
+  }
+
+  int fd_;
+  bool connected_ = false;
+};
+
 TEST(DaemonTest, ServesSolveAndStatsOverTcp) {
   Daemon daemon(test_options());
   daemon.start();
@@ -345,12 +474,13 @@ TEST(DaemonTest, ServesSolveAndStatsOverTcp) {
   EXPECT_EQ(second.winner, first.winner);
   EXPECT_EQ(second.packing.start, first.packing.start);
 
-  const WireStats stats = client.stats();
-  EXPECT_EQ(stats.engine, "portfolio");
-  EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_EQ(stats.cache.hits, 1u);
-  EXPECT_EQ(stats.daemon.served, 2u);
-  EXPECT_FALSE(stats.daemon.draining);
+  const Samples stats = scrape(client);
+  EXPECT_EQ(stats.at("dsp_serve_engine_portfolio"), 1u);
+  EXPECT_EQ(stats.at("dsp_serve_engine_solve54"), 0u);
+  EXPECT_EQ(stats.at("dsp_cache_misses"), 1u);
+  EXPECT_EQ(stats.at("dsp_cache_hits"), 1u);
+  EXPECT_EQ(stats.at("dsp_daemon_served"), 2u);
+  EXPECT_EQ(stats.at("dsp_daemon_draining"), 0u);
   daemon.stop();
 }
 
@@ -373,6 +503,62 @@ TEST(DaemonTest, ResponsesMatchLocalCachingSolverBitExactly) {
   daemon.stop();
 }
 
+class ClientModeView : public ::testing::TestWithParam<ServeEngine> {};
+
+TEST_P(ClientModeView, ExpositionMatchesALocalCachingSolver) {
+  // dsp_served --connect prints the engine and the summary counters it
+  // reads from the daemon's exposition; they must equal what dsp_solve
+  // prints from a local CachingSolver serving the same requests.
+  DaemonOptions options = test_options();
+  options.serve.engine = GetParam();
+  std::vector<WireInstance> wires;
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    wires.push_back(small_wire(seed));
+  }
+  constexpr int kPasses = 2;  // the second pass is all hits
+
+  std::vector<SolveResponse> remote;
+  ServedView served;
+  {
+    Daemon daemon(options);
+    daemon.start();
+    DaemonClient client(daemon.port());
+    for (int pass = 0; pass < kPasses; ++pass) {
+      for (const WireInstance& wire : wires) {
+        remote.push_back(client.solve(wire));
+      }
+    }
+    served = read_served_view(client.metrics());
+    daemon.stop();
+  }
+
+  // Built after the daemon is gone, so its registry samples cannot
+  // shadow the daemon's in the exposition read above.
+  CachingSolver local(options.serve, options.cache);
+  std::size_t r = 0;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    for (const WireInstance& wire : wires) {
+      const SolveResponse expected = local.solve(wire.to_instance());
+      EXPECT_EQ(remote[r].outcome, expected.outcome);
+      EXPECT_EQ(remote[r].peak, expected.peak);
+      EXPECT_EQ(remote[r].winner, expected.winner);
+      EXPECT_EQ(remote[r].packing.start, expected.packing.start);
+      ++r;
+    }
+  }
+  EXPECT_EQ(served.engine, to_string(GetParam()));
+  EXPECT_EQ(served.stats, local.stats());
+  EXPECT_EQ(served.stats.hits, wires.size());
+  EXPECT_EQ(served.cache_mb, options.cache.capacity_bytes >> 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, ClientModeView,
+                         ::testing::Values(ServeEngine::kPortfolio,
+                                           ServeEngine::kSolve54),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
 TEST(DaemonTest, InvalidRequestGetsAnErrorFrameAndConnectionSurvives) {
   Daemon daemon(test_options());
   daemon.start();
@@ -383,8 +569,48 @@ TEST(DaemonTest, InvalidRequestGetsAnErrorFrameAndConnectionSurvives) {
   // The error was answered in-band; the same connection keeps serving.
   const SolveResponse good = client.solve(small_wire(2));
   EXPECT_GT(good.packing.start.size(), 0u);
-  EXPECT_EQ(client.stats().daemon.errors, 1u);
+  EXPECT_EQ(scrape(client).at("dsp_daemon_errors"), 1u);
   daemon.stop();
+}
+
+TEST(DaemonTest, RetiredStatsRequestGetsAnErrorFrameThenTheConnectionCloses) {
+  // Request type 2 was the stats frame; it is retired, so the daemon
+  // treats it like any unknown type: one error frame, then a close.
+  Daemon daemon(test_options());
+  daemon.start();
+  RawConnection raw(daemon.port());
+  raw.send(frame::encode_frame(2, std::string()));
+  const auto [type, payload] = raw.read_frame();
+  EXPECT_EQ(type, frame::kError);
+  EXPECT_EQ(frame::decode_message(payload, "error frame"),
+            "unknown request frame type 2");
+  EXPECT_TRUE(raw.closed_by_peer());
+  EXPECT_EQ(daemon.stats().errors, 1u);
+  daemon.stop();
+}
+
+TEST(DaemonTest, ExpositionCarriesTheTracerSpanCounters) {
+  // The span counters leave the daemon as trace.spans_* samples, read
+  // from the process-wide tracer at scrape time.
+  const bool was_tracing = obs::tracing_enabled();
+  obs::set_tracing_enabled(true);
+  obs::Tracer::global().clear();
+  Samples samples;
+  {
+    Daemon daemon(test_options());
+    daemon.start();
+    DaemonClient client(daemon.port());
+    (void)client.solve(small_wire(1));
+    samples = scrape(client);
+    daemon.stop();
+  }
+  obs::set_tracing_enabled(was_tracing);
+  // The solve's admission-wait and solver spans closed before its answer
+  // was written, so the scrape that followed saw them.
+  EXPECT_GT(samples.at("dsp_trace_spans_recorded"), 0u);
+  EXPECT_LE(samples.at("dsp_trace_spans_recorded"),
+            obs::Tracer::global().spans_recorded());
+  EXPECT_EQ(samples.at("dsp_trace_spans_dropped"), 0u);
 }
 
 TEST(DaemonTest, WarmRestartKeepsTheCacheBitExactly) {
@@ -416,7 +642,9 @@ TEST(DaemonTest, WarmRestartKeepsTheCacheBitExactly) {
       EXPECT_EQ(warm.winner, cold[seed].winner);
       EXPECT_EQ(warm.packing.start, cold[seed].packing.start);
     }
-    EXPECT_EQ(client.stats().cache.misses, 0u);
+    const Samples stats = scrape(client);
+    EXPECT_EQ(stats.at("dsp_cache_misses"), 0u);
+    EXPECT_EQ(stats.at("dsp_cache_hits"), 3u);
     daemon.stop();
   }
 }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -241,6 +242,29 @@ TEST(RegistryTest, PrometheusTextCarriesEveryInstrument) {
   EXPECT_NE(text.find("_bucket{le=\"+Inf\"} 1"), std::string::npos);
 }
 
+TEST(RegistryTest, ParseExpositionReadsBackEveryPlainSample) {
+  Registry registry;
+  registry.counter("cache.hits.test").inc(42);
+  registry.gauge("cache.entries.test").set(9);
+  registry.histogram("phase.solve_nanos.test").record(1000);
+  const std::map<std::string, std::uint64_t> parsed =
+      parse_exposition(registry.prometheus_text());
+  const std::map<std::string, std::uint64_t> expected = {
+      {"dsp_cache_entries_test", 9},
+      {"dsp_cache_hits_test", 42},
+      {"dsp_phase_solve_nanos_test_count", 1},
+      {"dsp_phase_solve_nanos_test_sum", 1000}};
+  EXPECT_EQ(parsed, expected) << "bucket lines and comments are skipped";
+}
+
+TEST(RegistryTest, ParseExpositionRejectsMalformedSampleLines) {
+  EXPECT_TRUE(parse_exposition("").empty());
+  EXPECT_THROW((void)parse_exposition("dsp_a\n"), InvalidInput);
+  EXPECT_THROW((void)parse_exposition("dsp_a 12x\n"), InvalidInput);
+  EXPECT_THROW((void)parse_exposition("dsp_a -1\n"), InvalidInput);
+  EXPECT_THROW((void)parse_exposition(" 12\n"), InvalidInput);
+}
+
 // ---------------------------------------------------------------------------
 // Tracer: spans, ring overflow, Chrome JSON.
 // ---------------------------------------------------------------------------
@@ -376,62 +400,8 @@ TEST(RequestScopeTest, NestedScopesAdoptTheOuterId) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame codec: versioned stats, metrics frames.
+// Frame codec: metrics frames.
 // ---------------------------------------------------------------------------
-
-service::WireStats sample_wire_stats() {
-  service::WireStats stats;
-  stats.engine = "solve54";
-  stats.capacity_bytes = 8 << 20;
-  stats.cache.hits = 18;
-  stats.cache.misses = 9;
-  stats.daemon.requests = 29;
-  stats.daemon.draining = true;
-  stats.scheduler.submitted = 100;
-  stats.scheduler.pricing_threads = 2;
-  stats.obs.request_count = 27;
-  stats.obs.request_p50_nanos = 65535;
-  stats.obs.request_p95_nanos = 131071;
-  stats.obs.request_p99_nanos = 131071;
-  stats.obs.spans_recorded = 54;
-  stats.obs.spans_dropped = 3;
-  stats.obs.tracing_enabled = true;
-  return stats;
-}
-
-TEST(FrameCodecObsTest, StatsRoundTripCarriesObsFields) {
-  const service::WireStats stats = sample_wire_stats();
-  const std::string payload = service::frame::encode_stats(stats);
-  EXPECT_EQ(static_cast<std::uint8_t>(payload[0]),
-            service::frame::kStatsVersion);
-  const service::WireStats decoded =
-      service::frame::decode_stats(payload, "test");
-  EXPECT_EQ(decoded.engine, stats.engine);
-  EXPECT_EQ(decoded.cache.hits, stats.cache.hits);
-  EXPECT_EQ(decoded.obs.request_count, stats.obs.request_count);
-  EXPECT_EQ(decoded.obs.request_p50_nanos, stats.obs.request_p50_nanos);
-  EXPECT_EQ(decoded.obs.request_p95_nanos, stats.obs.request_p95_nanos);
-  EXPECT_EQ(decoded.obs.request_p99_nanos, stats.obs.request_p99_nanos);
-  EXPECT_EQ(decoded.obs.spans_recorded, stats.obs.spans_recorded);
-  EXPECT_EQ(decoded.obs.spans_dropped, stats.obs.spans_dropped);
-  EXPECT_EQ(decoded.obs.tracing_enabled, stats.obs.tracing_enabled);
-  // Byte-exact re-encode: the fuzz harness relies on it.
-  EXPECT_EQ(service::frame::encode_stats(decoded), payload);
-}
-
-TEST(FrameCodecObsTest, OldStatsVersionFailsWithClearError) {
-  std::string payload = service::frame::encode_stats(sample_wire_stats());
-  payload[0] = 1;  // the unversioned-era layout started differently, but a
-                   // deliberate wrong version byte is the clearest probe
-  try {
-    (void)service::frame::decode_stats(payload, "old-client");
-    FAIL() << "version 1 must be rejected";
-  } catch (const InvalidInput& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("expected 2"), std::string::npos) << what;
-  }
-}
 
 TEST(FrameCodecObsTest, MetricsRoundTripAndVersionGate) {
   const std::string exposition =

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -16,6 +17,7 @@
 
 #include "approx/solve54.hpp"
 #include "gen/families.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/autotune.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
@@ -402,9 +404,41 @@ TEST(ServingScheduler, CachingSolverExposesTunerAndCounters) {
   const runtime::TunerSnapshot snap = solver.tuner_snapshot();
   EXPECT_GE(snap.decisions, 1u);
   EXPECT_GE(snap.attempt_samples, 1u);
-  // The process-total counters are readable through the solver (exact
-  // values depend on what other tests ran in this process).
-  (void)solver.scheduler_counters();
+  // The process-total counters are exported through the solver's registry
+  // source (exact values depend on what other tests ran in this process).
+  const obs::MetricsSnapshot metrics = obs::Registry::global().snapshot();
+  EXPECT_TRUE(std::any_of(
+      metrics.samples.begin(), metrics.samples.end(),
+      [](const obs::Sample& s) { return s.name == "scheduler.submitted"; }));
+}
+
+TEST(ServingScheduler, CachingSolverExportsLiveSchedulerOccupancy) {
+  // scheduler.occupancy is read at scrape time: the workers running a
+  // task right now, across every pool in the process.
+  const service::CachingSolver solver;
+  const auto exported_occupancy = []() {
+    return obs::parse_exposition(obs::Registry::global().prometheus_text())
+        .at("dsp_scheduler_occupancy");
+  };
+  const auto wait_until = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+  runtime::ThreadPool pool(runtime::ThreadPoolOptions{2, true});
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  auto a = pool.submit([open]() { open.wait(); });
+  auto b = pool.submit([open]() { open.wait(); });
+  wait_until([&]() { return pool.occupancy() == 2; });
+  EXPECT_GE(exported_occupancy(), 2u);
+  gate.set_value();
+  a.get();
+  b.get();
+  wait_until([]() { return runtime::process_active_workers() == 0; });
+  EXPECT_EQ(exported_occupancy(), 0u);
 }
 
 TEST(ServingScheduler, StealingKnobKeepsBatchAnswersIdentical) {

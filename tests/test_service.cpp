@@ -12,7 +12,6 @@
 #include <tuple>
 #include <vector>
 
-#include "approx/solve54.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "gen/gap.hpp"
@@ -142,117 +141,6 @@ TEST(WireInstanceTest, LoadAutoDetectsFormat) {
   }
 }
 
-TEST(WirePackingTest, RoundTripsBothFormats) {
-  Packing packing;
-  packing.start = {0, 5, 12, 0, 7, 3};
-  for (const WireFormat format : {WireFormat::kBinary, WireFormat::kJson}) {
-    std::ostringstream out;
-    save_packing(out, packing, format);
-    std::istringstream in(out.str());
-    EXPECT_EQ(load_packing(in), packing) << to_string(format);
-  }
-}
-
-TEST(WirePackingTest, EmptyPackingRoundTrips) {
-  const Packing empty;
-  for (const WireFormat format : {WireFormat::kBinary, WireFormat::kJson}) {
-    std::ostringstream out;
-    save_packing(out, empty, format);
-    std::istringstream in(out.str());
-    EXPECT_EQ(load_packing(in), empty) << to_string(format);
-  }
-}
-
-TEST(WireReportTest, HandCraftedReportRoundTrips) {
-  approx::Approx54Report report;
-  report.lower_bound = 17;
-  report.upper_bound = 23;
-  report.best_guess = 19;
-  report.pipeline_peak = 21;
-  report.final_peak = 20;
-  report.delta = Fraction(1, 8);
-  report.mu = Fraction(3, 16);
-  for (std::size_t i = 0; i < 7; ++i) report.count_per_category[i] = 10 + i;
-  report.medium_area = -4;  // sign round trip
-  report.lp_used = true;
-  report.lp_engine = approx::ConfigLpEngine::kDenseEnumeration;
-  report.lp_configurations = 321;
-  report.lp_pricing_rounds = 12;
-  report.lp_capped = true;
-  report.lp_overflow = 2;
-  report.attempts = 9;
-  report.rounds = 5;
-  report.probe_parallelism = 3;
-  report.overlapped = true;
-  for (const WireFormat format : {WireFormat::kBinary, WireFormat::kJson}) {
-    std::ostringstream out;
-    save_report(out, report, format);
-    std::istringstream in(out.str());
-    const approx::Approx54Report loaded = load_report(in);
-    EXPECT_EQ(loaded.lower_bound, report.lower_bound);
-    EXPECT_EQ(loaded.upper_bound, report.upper_bound);
-    EXPECT_EQ(loaded.best_guess, report.best_guess);
-    EXPECT_EQ(loaded.pipeline_peak, report.pipeline_peak);
-    EXPECT_EQ(loaded.final_peak, report.final_peak);
-    EXPECT_EQ(loaded.delta, report.delta);
-    EXPECT_EQ(loaded.mu, report.mu);
-    for (std::size_t i = 0; i < 7; ++i) {
-      EXPECT_EQ(loaded.count_per_category[i], report.count_per_category[i]);
-    }
-    EXPECT_EQ(loaded.medium_area, report.medium_area);
-    EXPECT_EQ(loaded.lp_used, report.lp_used);
-    EXPECT_EQ(loaded.lp_engine, report.lp_engine);
-    EXPECT_EQ(loaded.lp_configurations, report.lp_configurations);
-    EXPECT_EQ(loaded.lp_pricing_rounds, report.lp_pricing_rounds);
-    EXPECT_EQ(loaded.lp_capped, report.lp_capped);
-    EXPECT_EQ(loaded.lp_overflow, report.lp_overflow);
-    EXPECT_EQ(loaded.attempts, report.attempts);
-    EXPECT_EQ(loaded.rounds, report.rounds);
-    EXPECT_EQ(loaded.probe_parallelism, report.probe_parallelism);
-    EXPECT_EQ(loaded.overlapped, report.overlapped);
-  }
-}
-
-TEST(WireReportTest, MissingReportKeysAreRejected) {
-  // Strict ingest: a report of implicit zeros is a broken record.
-  std::istringstream in("{\"dsp\":\"approx54_report\",\"version\":1}");
-  try {
-    (void)load_report(in, "cut.json");
-    FAIL() << "expected InvalidInput";
-  } catch (const InvalidInput& error) {
-    EXPECT_NE(std::string(error.what()).find("missing report key"),
-              std::string::npos)
-        << error.what();
-  }
-}
-
-TEST(WireReportTest, ShortCountPerCategoryIsRejected) {
-  approx::Approx54Report report;
-  std::ostringstream out;
-  save_report(out, report, WireFormat::kJson);
-  std::string text = out.str();
-  const std::string full = "\"count_per_category\":[0,0,0,0,0,0,0]";
-  const auto at = text.find(full);
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, full.size(), "\"count_per_category\":[0,0,0]");
-  std::istringstream in(text);
-  EXPECT_THROW((void)load_report(in, "short.json"), InvalidInput);
-}
-
-TEST(WireReportTest, RealSolve54ReportRoundTrips) {
-  Rng rng(99);
-  const Instance instance = gen::random_uniform(12, 24, 10, 6, rng);
-  const approx::Approx54Report report = approx::solve54(instance).report;
-  std::ostringstream out;
-  save_report(out, report, WireFormat::kJson);
-  std::istringstream in(out.str());
-  const approx::Approx54Report loaded = load_report(in);
-  EXPECT_EQ(loaded.final_peak, report.final_peak);
-  EXPECT_EQ(loaded.best_guess, report.best_guess);
-  EXPECT_EQ(loaded.delta, report.delta);
-  EXPECT_EQ(loaded.attempts, report.attempts);
-}
-
 // ---------------------------------------------------------------------------
 // Ingest validation.
 // ---------------------------------------------------------------------------
@@ -378,12 +266,14 @@ TEST(WireValidationTest, RejectsMalformedJson) {
 }
 
 TEST(WireValidationTest, RejectsWrongRecordType) {
-  Packing packing;
-  packing.start = {1, 2};
-  std::ostringstream out;
-  save_packing(out, packing, WireFormat::kJson);
-  std::istringstream in(out.str());
-  EXPECT_THROW((void)load_instance(in, "mix.json"), InvalidInput);
+  std::istringstream packing(
+      "{\"dsp\":\"packing\",\"version\":1,\"start\":[1,2]}\n");
+  EXPECT_THROW((void)load_instance(packing, "mix.json"), InvalidInput);
+  // Instance-shaped keys do not help: the record type itself is checked.
+  std::istringstream retyped(
+      "{\"dsp\":\"packing\",\"version\":1,\"strip_width\":4,"
+      "\"items\":[{\"id\":0,\"width\":1,\"height\":1}]}\n");
+  expect_throw_contains(retyped, "record type \"packing\"");
 }
 
 // ---------------------------------------------------------------------------

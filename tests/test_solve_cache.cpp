@@ -16,6 +16,7 @@
 
 #include "gen/families.hpp"
 #include "gen/smart_grid.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/channel.hpp"
 #include "service/cache.hpp"
 #include "util/check.hpp"
@@ -565,6 +566,29 @@ TEST(CachingSolverTest, Solve54EngineServesAndDedupes) {
   EXPECT_EQ(responses[0].packing, responses[2].packing);
   EXPECT_EQ(responses[1].packing, responses[3].packing);
   EXPECT_EQ(solver.stats().misses, 2u);
+}
+
+TEST(CachingSolverTest, NewerSolverShadowsEveryExportedGaugeOfAnOlderOne) {
+  // Every solver exports every engine's one-hot gauge, so while a newer
+  // solver lives the exposition names only its engine and budget; once it
+  // is gone the older solver's samples show through again.
+  const auto exported = []() {
+    return obs::parse_exposition(obs::Registry::global().prometheus_text());
+  };
+  CachingSolver older(ServeParams{}, CacheOptions{2 << 20, 1});
+  {
+    ServeParams params;
+    params.engine = ServeEngine::kSolve54;
+    CachingSolver newer(params, CacheOptions{3 << 20, 1});
+    const auto samples = exported();
+    EXPECT_EQ(samples.at("dsp_serve_engine_solve54"), 1u);
+    EXPECT_EQ(samples.at("dsp_serve_engine_portfolio"), 0u);
+    EXPECT_EQ(samples.at("dsp_cache_capacity_bytes"), 3u << 20);
+  }
+  const auto samples = exported();
+  EXPECT_EQ(samples.at("dsp_serve_engine_portfolio"), 1u);
+  EXPECT_EQ(samples.at("dsp_serve_engine_solve54"), 0u);
+  EXPECT_EQ(samples.at("dsp_cache_capacity_bytes"), 2u << 20);
 }
 
 TEST(CachingSolverTest, SolveManyStreamDeliversEveryEventAndCloses) {
