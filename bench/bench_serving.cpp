@@ -2,7 +2,7 @@
 // traffic (DESIGN.md, "The serving daemon").
 //
 // A live in-process daemon is driven over real loopback TCP through
-// DaemonClient, in four phases:
+// DaemonClient, in five phases:
 //
 //   cold     — a Zipf trace against an empty cache: per-request round-trip
 //              latency (p50/p99) and the hit rate the skew buys.
@@ -17,13 +17,8 @@
 //   overload — a deliberately tiny admission gate (1 slot, no queue) under
 //              concurrent clients; requests shed with `busy` instead of
 //              queueing without bound, and the shed count is reported.
-//   sched    — Zipf traffic over a skewed instance set (one ~10x instance
-//              amid cheap ones) against the solve54 engine with a multi-
-//              guess probe grid, so the work-stealing pools and the
-//              auto-tuner actually engage; the row carries the scheduler
-//              counters and the serving solver's tuner state, and the
-//              bench fails if no pool task ran or the tuner was never
-//              consulted.
+//   obs      — metrics and tracing overhead, A/B over warm Zipf traffic;
+//              a gross regression fails the bench.
 //
 // One JSON row per phase, the same flat shape every bench prints.
 
@@ -40,7 +35,6 @@
 
 #include "bench_common.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "service/daemon.hpp"
 
 namespace {
@@ -365,73 +359,6 @@ int main() {
       std::cerr << "FAIL: observability overhead grossly regressed "
                 << "(metrics " << overhead_metrics << ", tracing "
                 << overhead_tracing << ")\n";
-      identical = false;
-    }
-    daemon.stop();
-  }
-
-  // --- scheduler counters under skewed solve54 traffic --------------------
-  {
-    service::DaemonOptions skew = options;
-    skew.persist_dir.clear();  // scheduler phase: no store churn
-    skew.serve.engine = service::ServeEngine::kSolve54;
-    // A 3-wide probe grid gives multi-guess rounds when the first probe
-    // misses (probe_concurrency stays 0 = auto), and auto pricing width
-    // guarantees the tuner is consulted on every solve even when the
-    // search converges on round 1.
-    skew.serve.approx.probe_parallelism = 3;
-    skew.serve.approx.lp_pricing_threads = 0;
-
-    // One ~10x instance amid cheap ones; the Zipf head lands on the heavy
-    // one, the classic worst case for static sharding.
-    std::vector<service::WireInstance> skew_wires;
-    {
-      Rng heavy_rng(9300);
-      skew_wires.push_back(service::WireInstance::from_instance(
-          gen::smart_grid(120, 96, heavy_rng), "heavy"));
-    }
-    for (std::size_t d = 1; d < 8; ++d) {
-      Rng rng(9300 + d);
-      skew_wires.push_back(service::WireInstance::from_instance(
-          gen::smart_grid(16, 96, rng), "light-" + std::to_string(d)));
-    }
-    Rng skew_rng(515151);
-    const std::vector<std::size_t> skew_trace =
-        zipf_trace(skew_wires.size(), 40, kZipfS, skew_rng);
-
-    service::Daemon daemon(skew);
-    daemon.start();
-    Stopwatch wall;
-    const PhaseResult result = play_trace(daemon.port(), skew_wires,
-                                          skew_trace);
-    const double wall_seconds = wall.seconds();
-    const runtime::SchedulerCounters sched = runtime::scheduler_totals();
-    const runtime::TunerSnapshot tuner = daemon.solver().tuner_snapshot();
-    JsonRow()
-        .field("bench", "serving")
-        .field("phase", "sched")
-        .field("requests", result.responses.size())
-        .field("distinct", skew_wires.size())
-        .field("zipf_s", kZipfS)
-        .field("p50_ms", percentile(result.latencies_ms, 0.50))
-        .field("p99_ms", percentile(result.latencies_ms, 0.99))
-        .field("sched_submitted", sched.submitted)
-        .field("sched_executed", sched.executed)
-        .field("steals", sched.steals)
-        .field("steal_fails", sched.steal_fails)
-        .field("occupancy", runtime::process_active_workers())
-        .field("tuner_decisions", tuner.decisions)
-        .field("attempt_ewma_nanos", tuner.attempt_ewma_nanos)
-        .field("probe_concurrency", tuner.last_probe_concurrency)
-        .field("pricing_threads", tuner.last_pricing_threads)
-        .field("wall_s", wall_seconds)
-        .print(std::cout);
-    if (sched.executed == 0) {
-      std::cerr << "FAIL: sched phase ran no pool tasks\n";
-      identical = false;
-    }
-    if (tuner.decisions == 0) {
-      std::cerr << "FAIL: sched phase never consulted the auto-tuner\n";
       identical = false;
     }
     daemon.stop();

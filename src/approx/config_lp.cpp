@@ -8,8 +8,6 @@
 
 #include "lp/simplex.hpp"
 #include "obs/trace.hpp"
-#include "runtime/parallel.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace dsp::approx {
@@ -340,9 +338,9 @@ void run_column_generation(const Instance& instance,
   const Config empty_config(nh, 0);
   for (std::size_t b = 0; b < nb; ++b) add_column(b, empty_config);
 
-  // Distinct capacities (ascending) and their boxes (ascending): the fixed
-  // reduction order that keeps the generated column sequence — and hence the
-  // realized packing — independent of the pricing schedule.
+  // Distinct capacities (ascending) and their boxes (ascending): each round
+  // prices one knapsack per capacity, then offers the columns to the boxes
+  // of each capacity, in this fixed order.
   std::map<Height, std::vector<std::size_t>> boxes_by_capacity;
   for (std::size_t b = 0; b < nb; ++b) {
     boxes_by_capacity[boxes[b].capacity].push_back(b);
@@ -353,10 +351,12 @@ void run_column_generation(const Instance& instance,
     (void)box_list;
     capacities.push_back(capacity);
   }
-  // One pricing scratch per distinct capacity: concurrent pricing tasks get
-  // disjoint slots (parallel_map hands each task its index), and the slots
-  // persist across rounds and — via VerticalFillParams::scratch — across
-  // bisection attempts.
+  // One pricing scratch per distinct capacity, persisting across rounds
+  // and — via VerticalFillParams::scratch — across bisection attempts.
+  // Sharing one arena across capacities, or adding each capacity's column
+  // before pricing the next, gives the same columns but interleaves the
+  // arena chunks with the master's growth differently, which raised the
+  // serving daemon's peak RSS by about 40% (cold-solve54 workload).
   if (scratch.pricing.size() < capacities.size()) {
     scratch.pricing.resize(capacities.size());
   }
@@ -390,19 +390,10 @@ void run_column_generation(const Instance& instance,
                            : y[nb + h];
     }
     std::vector<PricedConfig> priced;
-    if (params.pricing_pool != nullptr && capacities.size() > 1) {
-      priced = runtime::parallel_map(
-          *params.pricing_pool, capacities,
-          [&](Height capacity, std::size_t index) {
-            return price_knapsack(setup.heights, values, capacity,
-                                  scratch.pricing[index]);
-          });
-    } else {
-      priced.reserve(capacities.size());
-      for (std::size_t ci = 0; ci < capacities.size(); ++ci) {
-        priced.push_back(price_knapsack(setup.heights, values, capacities[ci],
-                                        scratch.pricing[ci]));
-      }
+    priced.reserve(capacities.size());
+    for (std::size_t ci = 0; ci < capacities.size(); ++ci) {
+      priced.push_back(price_knapsack(setup.heights, values, capacities[ci],
+                                      scratch.pricing[ci]));
     }
     bool added = false;
     for (std::size_t ci = 0; ci < capacities.size(); ++ci) {

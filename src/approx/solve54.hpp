@@ -30,51 +30,17 @@ struct Approx54Params {
   /// Column generation: safety valve on generate -> re-solve rounds (the
   /// paired valve to max_configs; also sets `lp_capped` when hit).
   std::size_t max_pricing_rounds = 64;
-  /// Workers pricing the Lemma-10 knapsacks concurrently (one task per
-  /// distinct gap-box capacity); 1 prices on the calling thread, 0 lets
-  /// the auto-tuner pick from measured attempt cost and pool occupancy.
-  /// The priced columns are reduced in fixed capacity-then-box order, so
-  /// the packing is bit-identical for every value — which is why this is
-  /// an execution knob, outside the cache fingerprint.  Must be >= 0.
-  int lp_pricing_threads = 1;
   /// Cap on the number of gap boxes handed to the LP (rows stay small).
   std::size_t max_gap_boxes = 48;
   /// Demand-profile implementation every placement step (and the witness
   /// portfolio) runs on; kAuto picks sparse on wide, lightly covered strips.
   ProfileBackendKind backend = ProfileBackendKind::kAuto;
-  /// Speculative-bisection width k: each binary-search round probes k height
-  /// guesses (k equal splits of the open interval), shrinking the search
-  /// from ~log2 to ~log(k+1) rounds.  1 = today's sequential bisection,
-  /// probe-for-probe identical.  Must be >= 1.  This knob changes the
-  /// probe *grid* (hence which packing comes back), so it stays inside the
-  /// cache fingerprint; how many of the k guesses run at once is
-  /// probe_concurrency below.
-  int probe_parallelism = 1;
-  /// In-flight attempts per bisection round: the k guesses of a round are
-  /// self-scheduled over min(probe_concurrency, k) runner tasks.  0 (the
-  /// default) lets the auto-tuner choose from the EWMA of measured attempt
-  /// cost vs. free hardware width.  Outcomes are written by guess index
-  /// and reduced in ascending-guess order, so every value — fixed or auto
-  /// — yields bit-identical packings; an execution knob, outside the cache
-  /// fingerprint.  Must be >= 0.
-  int probe_concurrency = 0;
-  /// Work stealing on the pools this call spawns (probe + pricing);
-  /// execution-only, see ThreadPoolOptions::stealing.
+  /// Ignored.  solve54 runs on the calling thread, spawns no pool and
+  /// tunes nothing; these two fields stay only because the serving
+  /// benchmark (perfbench/) still sets them, and go with the next change
+  /// to that benchmark.
   bool stealing = true;
-  /// Tuner consulted when probe_concurrency or lp_pricing_threads is 0.
-  /// Null means a fresh per-call tuner (first-round choices then fall back
-  /// to the documented unmeasured defaults); the serving layer passes its
-  /// long-lived tuner so measurements accumulate across requests.
   runtime::AutoTuner* tuner = nullptr;
-  /// Overlap step 1 with round 1: the lower bound and the witness portfolio
-  /// run as pool tasks while the caller's thread probes the optimistic guess
-  /// H' = lower bound; both tasks are joined before the round-2 guess is
-  /// chosen.  The probe grid (hence the result) is a deterministic function
-  /// of the instance either way — the flag only moves wall-clock time, and
-  /// off reproduces the strictly-sequential step-1-then-step-2 schedule.
-  /// On costs one pool spawn/join per call (k threads); callers looping
-  /// over tiny instances, where step 1 is microseconds, should turn it off.
-  bool overlap_step1 = true;
 };
 
 /// Diagnostics of one run — the quantities experiments E7/E9/E11 report.
@@ -96,22 +62,12 @@ struct Approx54Report {
   bool lp_capped = false;        ///< enumeration cap / safety valve was hit
   std::size_t lp_overflow = 0;   ///< items through the extra-box path
   std::size_t attempts = 0;      ///< binary-search probes (all rounds)
-  std::size_t rounds = 0;        ///< binary-search rounds (== attempts at k=1)
-  int probe_parallelism = 1;     ///< the k the search ran with
-  /// Resolved in-flight attempts of the last multi-guess round (1 when
-  /// every round ran sequentially); echoes the auto-tuner's choice when
-  /// Approx54Params::probe_concurrency is 0.
-  int probe_concurrency = 1;
-  /// Resolved pricing-pool width (echoes the auto-tuner's choice when
-  /// Approx54Params::lp_pricing_threads is 0).
-  int pricing_threads = 1;
-  bool overlapped = false;       ///< step 1 overlapped with round 1
+  std::size_t rounds = 0;        ///< binary-search rounds (== attempts)
   /// Phase-level latency breakdown (obs/trace.hpp scoped spans), summed
   /// over every attempt of the bisection: total attempt wall nanos, the
   /// slice spent in CG pricing rounds, and the slice inside LP (re)solves.
   /// Observed, never branched on; all zero when the obs metrics switch is
-  /// off.  Concurrent attempts overlap, so attempt_nanos can exceed the
-  /// call's wall time.
+  /// off.
   std::uint64_t attempt_nanos = 0;
   std::uint64_t pricing_nanos = 0;
   std::uint64_t lp_resolve_nanos = 0;
@@ -126,10 +82,9 @@ struct Approx54Result {
 /// The (5/4+eps)-approximation for DSP (Theorem 5), in the constructive
 /// realization documented in DESIGN.md (substitution 4):
 ///
-///   step 1  lower/upper bounds (combined LB; baseline-portfolio witness);
-///           with overlap_step1 both run as pool tasks while round 1
-///           probes H' = lower bound on the calling thread
-///   step 2  binary search over the height guess H'
+///   step 1  lower/upper bounds (combined LB; baseline-portfolio witness)
+///   step 2  binary search over the height guess H', one guess per round,
+///           starting with the optimistic floor H' = lower bound
 ///   step 3  Lemma-2 parameter selection + Fig.-5 classification +
 ///           Lemma-3 height rounding
 ///   step 4  skeleton: large and tall items, tallest first, first-fit under
@@ -142,8 +97,9 @@ struct Approx54Result {
 ///   step 7  the best packing over all guesses (never worse than the
 ///           witness) is returned
 ///
-/// The returned packing is always feasible; peak quality is certified per
-/// run against the lower bound (experiment E7 measures the ratio).
+/// Every step runs in order on the calling thread.  The returned packing is
+/// always feasible; peak quality is certified per run against the lower
+/// bound (experiment E7 measures the ratio).
 [[nodiscard]] Approx54Result solve54(const Instance& instance,
                                      const Approx54Params& params = {});
 

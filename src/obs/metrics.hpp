@@ -5,9 +5,9 @@
 // export surface.
 //
 // Before this layer, every stats consumer was hand-wired: CacheStats,
-// SchedulerCounters, TunerSnapshot, AdmissionGate::Counters and the
-// daemon's own atomics each grew bespoke plumbing.  The registry unifies
-// them, and its exposition is the only way counters leave the process:
+// SchedulerCounters, AdmissionGate::Counters and the daemon's own atomics
+// each grew bespoke plumbing.  The registry unifies them, and its
+// exposition is the only way counters leave the process:
 //
 //  * owned instruments — Counter (sharded-atomic, monotonic), Gauge
 //    (last-value), Histogram (64 log2 buckets, sharded-atomic, exact

@@ -159,6 +159,11 @@ std::uint64_t Tracer::spans_dropped() const {
   return total;
 }
 
+std::uint64_t Tracer::ring_bytes() const {
+  const runtime::MutexLock lock(mutex_);
+  return buffers_.size() * sizeof(ThreadBuffer);
+}
+
 void Tracer::clear() {
   const runtime::MutexLock lock(mutex_);
   for (const auto& buffer : buffers_) {

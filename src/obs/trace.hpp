@@ -103,6 +103,9 @@ class Tracer {
 
   [[nodiscard]] std::uint64_t spans_recorded() const;
   [[nodiscard]] std::uint64_t spans_dropped() const;
+  /// Memory held by the rings: one fixed-size ring per thread that ever
+  /// recorded a traced span, never freed (clear() keeps the rings).
+  [[nodiscard]] std::uint64_t ring_bytes() const;
 
   /// Drops every recorded span (the counters reset too).  For test
   /// isolation and for separating runs inside one process.

@@ -1,125 +1,11 @@
 #pragma once
 
-#include <chrono>
-#include <cstdint>
-
-#include "runtime/sync.hpp"
-#include "runtime/thread_pool.hpp"
-
 namespace dsp::runtime {
 
-/// Frozen view of an AutoTuner, for stats rows and tests.
-struct TunerSnapshot {
-  /// Attempts timed so far (bisection probes fed into the EWMA).
-  std::uint64_t attempt_samples = 0;
-  /// EWMA of attempt wall nanos (integer arithmetic; see AutoTuner).
-  std::uint64_t attempt_ewma_nanos = 0;
-  /// Controller decisions handed out (both knobs).
-  std::uint64_t decisions = 0;
-  /// Most recent choices, 0 until the controller first runs.
-  int last_probe_concurrency = 0;
-  int last_pricing_threads = 0;
-};
-
-/// Measurement-driven controller for the execution-only parallelism knobs
-/// (DESIGN.md, "The work-stealing scheduler").  solve54 feeds it the wall
-/// time of every bisection attempt; the controller turns the EWMA of those
-/// samples, the process-wide pool occupancy, and the hardware width into a
-/// concurrency choice for the next fan-out.
-///
-/// Determinism: the *choices* only ever change how many workers run the
-/// same fixed work list — every reduction stays in input order, so any
-/// choice yields bit-identical packings (tested across fixed and auto
-/// values).  That is exactly why timing may be read here at all: this
-/// class is the one place wall-clock feeds back into execution, it lives
-/// in runtime/ (outside the determinism lint's result-affecting roots),
-/// and tools/lint_determinism.py pins every other runtime/ file to stay
-/// clock-free so timing cannot leak toward src/{core,approx,algo,lp}.
-///
-/// EWMA update (integer, deterministic given the samples): the first
-/// sample seeds the average, then `ewma += (sample - ewma) >> kEwmaShift`
-/// (alpha = 1/4).  Thread-safe: all state behind one Mutex; timers from
-/// concurrent attempts serialize on record only.
-class AutoTuner {
- public:
-  /// alpha = 1 / 2^kEwmaShift.
-  static constexpr unsigned kEwmaShift = 2;
-  /// Attempts cheaper than this run the guess list sequentially — the
-  /// fan-out (task packaging, futures, wakeups) would cost more than it
-  /// hides.  Dimensioned against measured pool overhead of tens of
-  /// microseconds per task.
-  static constexpr std::uint64_t kAttemptParallelNanos = 200'000;
-  /// Below this attempt cost, pricing stays single-threaded: a pricing
-  /// round is a slice of an attempt, so cheap attempts imply pricing
-  /// slices far too small to split profitably.
-  static constexpr std::uint64_t kPricingParallelNanos = 2'000'000;
-
-  /// RAII wall-clock scope over one bisection attempt; feeds the EWMA on
-  /// destruction (or explicit stop()).  Move-only.
-  class AttemptTimer {
-   public:
-    explicit AttemptTimer(AutoTuner* tuner)
-        : tuner_(tuner), start_(std::chrono::steady_clock::now()) {}
-    AttemptTimer(AttemptTimer&& other) noexcept
-        : tuner_(other.tuner_), start_(other.start_) {
-      other.tuner_ = nullptr;
-    }
-    AttemptTimer(const AttemptTimer&) = delete;
-    AttemptTimer& operator=(const AttemptTimer&) = delete;
-    AttemptTimer& operator=(AttemptTimer&&) = delete;
-    ~AttemptTimer() { stop(); }
-
-    void stop() {
-      if (tuner_ == nullptr) return;
-      const auto elapsed = std::chrono::steady_clock::now() - start_;
-      tuner_->record_attempt_nanos(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()));
-      tuner_ = nullptr;
-    }
-
-   private:
-    AutoTuner* tuner_;
-    std::chrono::steady_clock::time_point start_;
-  };
-
-  AutoTuner() = default;
-  AutoTuner(const AutoTuner&) = delete;
-  AutoTuner& operator=(const AutoTuner&) = delete;
-
-  /// Starts timing one attempt (solve54 holds one per probe).
-  [[nodiscard]] AttemptTimer time_attempt() { return AttemptTimer(this); }
-
-  /// Feeds one attempt duration into the EWMA (what AttemptTimer calls;
-  /// public so tests can drive the controller with exact samples).
-  void record_attempt_nanos(std::uint64_t nanos);
-
-  /// Concurrency for the next probe fan-out, in [1, cap].  cap is the
-  /// number of guesses this round.  Pure function of (EWMA state, hardware
-  /// width, process_active_workers()): unmeasured or expensive attempts
-  /// get the free hardware width; attempts cheaper than
-  /// kAttemptParallelNanos get 1.
-  [[nodiscard]] int choose_probe_concurrency(int cap);
-
-  /// Worker count for the shared pricing pool, in [1, cap].  Conservative
-  /// until measured: an unmeasured workload gets 1 (splitting a tiny
-  /// pricing round costs more than it saves), then the free hardware
-  /// width once attempts prove expensive (>= kPricingParallelNanos).
-  [[nodiscard]] int choose_pricing_threads(int cap);
-
-  [[nodiscard]] TunerSnapshot snapshot() const;
-
- private:
-  /// Hardware width minus workers already busy across the process,
-  /// clamped to [1, cap].
-  [[nodiscard]] static int free_width(int cap);
-
-  mutable Mutex mutex_;
-  std::uint64_t attempt_samples_ DSP_GUARDED_BY(mutex_) = 0;
-  std::uint64_t attempt_ewma_nanos_ DSP_GUARDED_BY(mutex_) = 0;
-  std::uint64_t decisions_ DSP_GUARDED_BY(mutex_) = 0;
-  int last_probe_concurrency_ DSP_GUARDED_BY(mutex_) = 0;
-  int last_pricing_threads_ DSP_GUARDED_BY(mutex_) = 0;
-};
+/// Ignored, empty placeholder for the removed auto-tuner.  Nothing reads
+/// it; it exists only because the serving benchmark (perfbench/) still
+/// names it through Approx54Params::tuner, and goes with the next change
+/// to that benchmark.
+class AutoTuner {};
 
 }  // namespace dsp::runtime

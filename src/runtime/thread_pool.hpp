@@ -36,10 +36,9 @@ struct SchedulerCounters {
 ///
 ///   requested > 0            -> requested (the caller knows best);
 ///   requested == 0, hw == 0  -> 2 (the standard permits "unknown"; two
-///                               workers keep the overlap paths — bound
-///                               task vs. witness task, probe vs. main
-///                               thread — genuinely concurrent instead of
-///                               silently serializing on a 1-worker pool);
+///                               workers keep fan-out genuinely concurrent
+///                               instead of silently serializing on a
+///                               1-worker pool);
 ///   requested == 0, hw >= 1  -> hw (1-core containers get exactly 1
 ///                               worker — correctness never depends on
 ///                               parallelism, only wall-clock does).
@@ -70,11 +69,10 @@ struct ThreadPoolOptions {
 ///
 /// Placement: a task submitted from off-pool goes round-robin to the next
 /// worker's thief end, so a single worker drains external work in
-/// submission order (FIFO) — the overlap paths in solve54 rely on that.  A
-/// task submitted by a pool worker goes to its own owner end (LIFO,
-/// cache-warm).  With stealing enabled, an idle worker probes victims in
-/// deterministic round-robin order starting from a per-worker seeded
-/// offset and takes from the thief end.
+/// submission order (FIFO).  A task submitted by a pool worker goes to its
+/// own owner end (LIFO, cache-warm).  With stealing enabled, an idle worker
+/// probes victims in deterministic round-robin order starting from a
+/// per-worker seeded offset and takes from the thief end.
 ///
 /// Determinism: stealing moves *where and when* a task runs, never what it
 /// computes or how results reduce — every reduction in parallel.hpp runs
@@ -109,8 +107,7 @@ class ThreadPool {
   [[nodiscard]] SchedulerCounters counters() const;
 
   /// Workers of *this pool* currently running a task (a gauge, not a
-  /// counter).  For the cross-pool view the auto-tuner uses, see
-  /// process_active_workers().
+  /// counter).  For the cross-pool view, see process_active_workers().
   [[nodiscard]] std::size_t occupancy() const {
     return active_.load(std::memory_order_relaxed);
   }
@@ -187,8 +184,7 @@ class ThreadPool {
 [[nodiscard]] SchedulerCounters scheduler_totals();
 
 /// Workers currently running a task across *all* live pools in the
-/// process.  The auto-tuner reads this gauge to size new fan-out against
-/// what the machine is already doing.
+/// process (exported as the scheduler.occupancy gauge).
 [[nodiscard]] std::size_t process_active_workers();
 
 }  // namespace dsp::runtime

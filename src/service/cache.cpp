@@ -53,10 +53,9 @@ std::uint64_t params_fingerprint(const ServeParams& params) {
   hasher.absorb(static_cast<std::uint64_t>(params.engine));
   if (params.engine == ServeEngine::kSolve54) {
     // Result-affecting solve54 knobs only.  Excluded on purpose — proved
-    // result-invariant by the runtime determinism suites — are
-    // lp_pricing_threads, probe_concurrency, stealing, the tuner pointer,
-    // and overlap_step1, plus ServeParams::backend, ::threads and
-    // ::stealing (see DESIGN.md, "The work-stealing scheduler").
+    // result-invariant by the determinism suites — are ServeParams::backend,
+    // ::threads and ::stealing (see DESIGN.md, "The serving layer"); the
+    // ignored Approx54Params::stealing and ::tuner never reach a result.
     const approx::Approx54Params& approx = params.approx;
     hasher.absorb_signed(approx.epsilon.num());
     hasher.absorb_signed(approx.epsilon.den());
@@ -65,7 +64,9 @@ std::uint64_t params_fingerprint(const ServeParams& params) {
     hasher.absorb(approx.max_configs);
     hasher.absorb(approx.max_pricing_rounds);
     hasher.absorb(approx.max_gap_boxes);
-    hasher.absorb_signed(approx.probe_parallelism);
+    // The slot of a removed knob (one guess per bisection round), kept so
+    // keys persisted by earlier builds still hit.
+    hasher.absorb_signed(1);
   }
   return hasher.digest64();
 }
@@ -335,18 +336,6 @@ CachingSolver::CachingSolver(const ServeParams& params,
         out.push_back({"scheduler.steal_fails", sched.steal_fails, false});
         out.push_back(
             {"scheduler.occupancy", runtime::process_active_workers(), true});
-        const runtime::TunerSnapshot tuner = tuner_.snapshot();
-        out.push_back({"tuner.attempt_samples", tuner.attempt_samples, false});
-        out.push_back(
-            {"tuner.attempt_ewma_nanos", tuner.attempt_ewma_nanos, true});
-        out.push_back({"tuner.decisions", tuner.decisions, false});
-        out.push_back({"tuner.last_probe_concurrency",
-                       static_cast<std::uint64_t>(
-                           tuner.last_probe_concurrency),
-                       true});
-        out.push_back({"tuner.last_pricing_threads",
-                       static_cast<std::uint64_t>(tuner.last_pricing_threads),
-                       true});
       });
 }
 
@@ -359,10 +348,6 @@ CachedSolve CachingSolver::compute_canonical(const Instance& canonical) {
   } else {
     approx::Approx54Params approx = params_.approx;
     approx.backend = params_.backend;  // ServeParams::backend is THE backend
-    approx.stealing = params_.stealing;
-    // The solver's own tuner unless the caller injected one: measurements
-    // then accumulate across every request this solver serves.
-    if (approx.tuner == nullptr) approx.tuner = &tuner_;
     approx::Approx54Result result = approx::solve54(canonical, approx);
     solve.packing = std::move(result.packing);
     solve.peak = result.peak;

@@ -140,6 +140,8 @@ Daemon::Daemon(const DaemonOptions& options)
                        obs::Tracer::global().spans_recorded(), false});
         out.push_back({"trace.spans_dropped",
                        obs::Tracer::global().spans_dropped(), false});
+        out.push_back(
+            {"trace.ring_bytes", obs::Tracer::global().ring_bytes(), true});
         if (store_) {
           out.push_back({"persist.appends", store_->appends(), false});
           out.push_back({"persist.compactions", store_->compactions(), false});

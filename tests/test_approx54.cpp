@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "approx/config_lp.hpp"
 #include "approx/solve54.hpp"
 #include "core/bounds.hpp"
@@ -7,6 +10,7 @@
 #include "gen/families.hpp"
 #include "gen/gap.hpp"
 #include "gen/smart_grid.hpp"
+#include "runtime/autotune.hpp"
 #include "util/prng.hpp"
 
 namespace dsp::approx {
@@ -167,6 +171,104 @@ TEST(Solve54, EpsilonSweepIsMonotoneInBudgetNotWorseThanWitness) {
     const Approx54Result result = solve54(inst, params);
     ASSERT_EQ(feasibility_error(inst, result.packing), std::nullopt);
     EXPECT_LE(result.peak, result.report.upper_bound);
+  }
+}
+
+// Pins solve54's answers on a seeded set shaped like the serving
+// benchmark's cold-solve54 workload: the three families it draws from
+// (sparse narrow items, uniform, tall), n 24-100 and W 256/1024, once at the
+// default epsilon and once at epsilon = 1/64 (which makes the bisection
+// take several rounds).  Every packing, peak, best guess and attempt count
+// is folded into one FNV-1a hash and compared with a recorded constant; any
+// change to the probe grid, the attempt pipeline or the returned packing
+// moves it.
+TEST(Solve54, PinnedAnswersOnServingFamilies) {
+  const char* const families[] = {"sparse", "sparse", "sparse", "uniform",
+                                  "tall"};
+  const std::size_t sizes[] = {24, 32, 40, 48, 64, 80, 100};
+  const Length widths[] = {256, 1024};
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  const auto absorb = [&hash](std::int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= static_cast<std::uint64_t>(value >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  };
+  std::size_t lp_used = 0;
+  std::size_t multi_attempt = 0;
+  for (const Fraction eps : {Approx54Params{}.epsilon, Fraction(1, 64)}) {
+    for (std::size_t i = 0; i < 70; ++i) {
+      Rng rng(1000 + i);
+      const std::string family = families[i % 5];
+      const std::size_t n = sizes[i % 7];
+      const Length w = widths[i % 2];
+      const Instance inst =
+          family == "uniform" ? gen::random_uniform(n, w, w / 2, 100, rng)
+          : family == "tall"  ? gen::tall_items(n, w, 64, rng)
+                              : gen::random_uniform(n, w, 4, 24, rng);
+      Approx54Params params;
+      params.epsilon = eps;
+      const Approx54Result result = solve54(inst, params);
+      ASSERT_EQ(feasibility_error(inst, result.packing), std::nullopt);
+      for (const Length x : result.packing.start) absorb(x);
+      absorb(result.peak);
+      absorb(result.report.best_guess);
+      absorb(static_cast<std::int64_t>(result.report.attempts));
+      if (result.report.lp_used) ++lp_used;
+      if (result.report.attempts > 1) ++multi_attempt;
+    }
+  }
+  EXPECT_GE(lp_used, 1u);
+  EXPECT_GE(multi_attempt, 1u);
+  EXPECT_EQ(hash, 0x398eceec44dd8afaull) << std::hex << hash;
+}
+
+/// Solves `inst` with `base` and with `changed`, and expects the same
+/// packing and the same report fields an answer is made of.
+void expect_same_answer(const Instance& inst, const Approx54Params& base,
+                        const Approx54Params& changed) {
+  const Approx54Result a = solve54(inst, base);
+  const Approx54Result b = solve54(inst, changed);
+  EXPECT_EQ(b.packing.start, a.packing.start) << inst.summary();
+  EXPECT_EQ(b.peak, a.peak);
+  EXPECT_EQ(b.report.best_guess, a.report.best_guess);
+  EXPECT_EQ(b.report.attempts, a.report.attempts);
+  EXPECT_EQ(b.report.lp_used, a.report.lp_used);
+  EXPECT_EQ(b.report.lp_configurations, a.report.lp_configurations);
+}
+
+/// A small set that runs the Lemma-10 LP and, at epsilon 1/64, more than
+/// one bisection round.
+std::vector<Instance> stub_field_instances() {
+  Rng rng(41);
+  return {gen::random_uniform(48, 256, 4, 24, rng),
+          gen::random_uniform(40, 1024, 512, 100, rng),
+          gen::tall_items(32, 256, 64, rng)};
+}
+
+TEST(Solve54, StealingFieldIsIgnored) {
+  for (const Instance& inst : stub_field_instances()) {
+    for (const Fraction eps : {Approx54Params{}.epsilon, Fraction(1, 64)}) {
+      Approx54Params on;
+      on.epsilon = eps;
+      on.stealing = true;
+      Approx54Params off = on;
+      off.stealing = false;
+      expect_same_answer(inst, on, off);
+    }
+  }
+}
+
+TEST(Solve54, TunerFieldIsIgnored) {
+  runtime::AutoTuner tuner;
+  for (const Instance& inst : stub_field_instances()) {
+    for (const Fraction eps : {Approx54Params{}.epsilon, Fraction(1, 64)}) {
+      Approx54Params without;
+      without.epsilon = eps;
+      Approx54Params with = without;
+      with.tuner = &tuner;
+      expect_same_answer(inst, without, with);
+    }
   }
 }
 

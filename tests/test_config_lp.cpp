@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "approx/config_lp.hpp"
@@ -9,7 +10,6 @@
 #include "gen/config_scenarios.hpp"
 #include "gen/families.hpp"
 #include "gen/smart_grid.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/prng.hpp"
 
 namespace dsp::approx {
@@ -27,14 +27,14 @@ Scenario random_scenario(Rng& rng, int max_classes = 5) {
 }
 
 VerticalFillResult run_engine(const Scenario& scenario, ConfigLpEngine engine,
-                              runtime::ThreadPool* pool = nullptr,
                               std::size_t max_configs = 4096,
-                              std::size_t max_rounds = 64) {
+                              std::size_t max_rounds = 64,
+                              VerticalFillScratch* scratch = nullptr) {
   VerticalFillParams params;
   params.engine = engine;
-  params.pricing_pool = pool;
   params.max_configs = max_configs;
   params.max_pricing_rounds = max_rounds;
+  params.scratch = scratch;
   return fill_vertical_items(scenario.instance, scenario.indices,
                              scenario.rounding, scenario.boxes, params);
 }
@@ -97,22 +97,27 @@ TEST(ConfigLpEngines, ColumnGenerationMatchesDenseOnRandomScenarios) {
   }
 }
 
-TEST(ConfigLpEngines, BitIdenticalAcrossPricingPools) {
+TEST(ConfigLpEngines, SharedScratchIsBitIdenticalToCallLocal) {
+  // One scratch carried across scenarios of different class counts (as a
+  // solve54 bisection carries one across its attempts) must give exactly
+  // the call-local result: every call re-derives the scratch contents.
   Rng rng(202);
-  for (int round = 0; round < 8; ++round) {
-    const Scenario scenario = random_scenario(rng);
-    const VerticalFillResult baseline =
-        run_engine(scenario, ConfigLpEngine::kColumnGeneration, nullptr);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      runtime::ThreadPool pool(threads);
-      const VerticalFillResult fill =
-          run_engine(scenario, ConfigLpEngine::kColumnGeneration, &pool);
-      EXPECT_EQ(fill.start, baseline.start) << "threads " << threads;
-      EXPECT_EQ(fill.overflow, baseline.overflow) << "threads " << threads;
-      EXPECT_EQ(fill.configurations, baseline.configurations);
-      EXPECT_EQ(fill.pricing_rounds, baseline.pricing_rounds);
-      EXPECT_EQ(fill.lp_solved, baseline.lp_solved);
-      EXPECT_EQ(fill.lp_objective, baseline.lp_objective);
+  for (const ConfigLpEngine engine : {ConfigLpEngine::kDenseEnumeration,
+                                      ConfigLpEngine::kColumnGeneration}) {
+    VerticalFillScratch scratch;
+    for (int round = 0; round < 12; ++round) {
+      const Scenario scenario = random_scenario(rng);
+      const VerticalFillResult local = run_engine(scenario, engine);
+      const VerticalFillResult shared =
+          run_engine(scenario, engine, 4096, 64, &scratch);
+      EXPECT_EQ(shared.start, local.start) << "round " << round;
+      EXPECT_EQ(shared.overflow, local.overflow) << "round " << round;
+      EXPECT_EQ(shared.configurations, local.configurations);
+      EXPECT_EQ(shared.nonzero_configs, local.nonzero_configs);
+      EXPECT_EQ(shared.pricing_rounds, local.pricing_rounds);
+      EXPECT_EQ(shared.lp_solved, local.lp_solved);
+      EXPECT_EQ(shared.capped, local.capped);
+      EXPECT_EQ(shared.lp_objective, local.lp_objective);
     }
   }
 }
@@ -133,12 +138,12 @@ TEST(ConfigLpEngines, ColumnGenerationSurvivesTheDenseCapCliff) {
   scenario.rounding.grid.assign(items.size(), 1);
 
   const VerticalFillResult dense =
-      run_engine(scenario, ConfigLpEngine::kDenseEnumeration, nullptr, 16);
+      run_engine(scenario, ConfigLpEngine::kDenseEnumeration, 16);
   EXPECT_TRUE(dense.capped);
   EXPECT_FALSE(dense.lp_solved) << "the cap cliff this test relies on is "
                                    "gone; pick a harder scenario";
   const VerticalFillResult cg =
-      run_engine(scenario, ConfigLpEngine::kColumnGeneration, nullptr, 16);
+      run_engine(scenario, ConfigLpEngine::kColumnGeneration, 16);
   EXPECT_TRUE(cg.lp_solved);
   EXPECT_FALSE(cg.capped);
   // The basic solution may be fractional (overflow items are fine — Lemma
@@ -194,7 +199,7 @@ TEST(ConfigLpEngines, SafetyValveSetsCappedInsteadOfLooping) {
   Rng rng(404);
   const Scenario scenario = random_scenario(rng);
   const VerticalFillResult one_round = run_engine(
-      scenario, ConfigLpEngine::kColumnGeneration, nullptr, 4096, 1);
+      scenario, ConfigLpEngine::kColumnGeneration, 4096, 1);
   // One pricing round cannot reach convergence on a non-trivial scenario:
   // the valve must report it rather than silently continuing.
   EXPECT_TRUE(one_round.capped);
@@ -229,7 +234,7 @@ TEST(Solve54Engines, BothEnginesProduceFeasiblePackings) {
                               "the generator no longer produces V items";
 }
 
-TEST(Solve54Engines, BitIdenticalAcrossPricingThreadsAndBackends) {
+TEST(Solve54Engines, BitIdenticalAcrossBackends) {
   Rng rng(606);
   const std::vector<Instance> instances = {
       gen::random_uniform(50, 160, 6, 24, rng),
@@ -239,62 +244,63 @@ TEST(Solve54Engines, BitIdenticalAcrossPricingThreadsAndBackends) {
     Approx54Params baseline_params;
     baseline_params.lp_engine = ConfigLpEngine::kColumnGeneration;
     const Approx54Result baseline = solve54(inst, baseline_params);
-    for (const int threads : {1, 2, 8}) {
-      for (const ProfileBackendKind backend :
-           {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
-        Approx54Params params = baseline_params;
-        params.lp_pricing_threads = threads;
-        params.backend = backend;
-        const Approx54Result result = solve54(inst, params);
-        EXPECT_EQ(result.packing.start, baseline.packing.start)
-            << "threads " << threads << " backend "
-            << static_cast<int>(backend);
-        EXPECT_EQ(result.peak, baseline.peak);
-        EXPECT_EQ(result.report.best_guess, baseline.report.best_guess);
-        EXPECT_EQ(result.report.lp_configurations,
-                  baseline.report.lp_configurations);
-        EXPECT_EQ(result.report.lp_pricing_rounds,
-                  baseline.report.lp_pricing_rounds);
-      }
+    for (const ProfileBackendKind backend :
+         {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
+      Approx54Params params = baseline_params;
+      params.backend = backend;
+      const Approx54Result result = solve54(inst, params);
+      EXPECT_EQ(result.packing.start, baseline.packing.start)
+          << "backend " << static_cast<int>(backend);
+      EXPECT_EQ(result.peak, baseline.peak);
+      EXPECT_EQ(result.report.best_guess, baseline.report.best_guess);
+      EXPECT_EQ(result.report.lp_configurations,
+                baseline.report.lp_configurations);
+      EXPECT_EQ(result.report.lp_pricing_rounds,
+                baseline.report.lp_pricing_rounds);
     }
   }
 }
 
-TEST(Solve54Engines, SharedPricingPoolUnderConcurrentAttemptsIsBitIdentical) {
-  // probe_parallelism > 1 runs attempts concurrently on the bisection pool;
-  // with lp_pricing_threads > 1 those attempts all issue parallel_map calls
-  // into the *one* shared pricing pool at the same time.  The packing must
-  // not depend on either pool's size (this is also the only place the
-  // concurrent-submitters path runs under TSan).
+TEST(Solve54Engines, ConcurrentCallersAreBitIdentical) {
+  // solve54 keeps all its state on the caller's stack, so independent
+  // calls from several threads at once (the daemon solves each request on
+  // its connection's thread) must each return the sequential answer.
   Rng rng(808);
-  const Instance inst = gen::random_uniform(50, 240, 4, 24, rng);
-  Approx54Params baseline_params;
-  baseline_params.lp_engine = ConfigLpEngine::kColumnGeneration;
-  baseline_params.probe_parallelism = 3;
-  // Pinned: auto (0) would serialize the attempts on narrow machines and
-  // this test exists to run the concurrent-submitters path.
-  baseline_params.probe_concurrency = 3;
-  baseline_params.lp_pricing_threads = 1;
-  const Approx54Result baseline = solve54(inst, baseline_params);
-  for (const int pricing_threads : {2, 8}) {
-    Approx54Params params = baseline_params;
-    params.lp_pricing_threads = pricing_threads;
-    const Approx54Result result = solve54(inst, params);
-    EXPECT_EQ(result.packing.start, baseline.packing.start)
-        << "lp_pricing_threads " << pricing_threads;
-    EXPECT_EQ(result.peak, baseline.peak);
-    EXPECT_EQ(result.report.best_guess, baseline.report.best_guess);
-    EXPECT_EQ(result.report.attempts, baseline.report.attempts);
+  const std::vector<Instance> instances = {
+      gen::random_uniform(50, 240, 4, 24, rng),
+      gen::random_uniform(40, 160, 6, 24, rng),
+      gen::smart_grid(40, 96, rng),
+  };
+  std::vector<Approx54Result> reference;
+  for (const Instance& inst : instances) reference.push_back(solve54(inst));
+  constexpr std::size_t kCallers = 4;
+  std::vector<std::vector<Approx54Result>> results(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&instances, &results, c]() {
+      // Each caller walks the instances from a different offset so the
+      // threads are solving different instances at the same time.
+      for (std::size_t k = 0; k < instances.size(); ++k) {
+        const std::size_t i = (c + k) % instances.size();
+        results[c].push_back(solve54(instances[i]));
+      }
+    });
   }
-}
-
-TEST(Solve54Engines, RejectsNegativePricingThreads) {
-  // 0 now means "auto-tuned"; only genuinely negative widths are invalid.
-  Rng rng(707);
-  const Instance inst = gen::random_uniform(5, 10, 4, 4, rng);
-  Approx54Params params;
-  params.lp_pricing_threads = -1;
-  EXPECT_THROW((void)solve54(inst, params), InvalidInput);
+  for (std::thread& caller : callers) caller.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    ASSERT_EQ(results[c].size(), instances.size());
+    for (std::size_t k = 0; k < instances.size(); ++k) {
+      const std::size_t i = (c + k) % instances.size();
+      const Approx54Result& result = results[c][k];
+      EXPECT_EQ(result.packing.start, reference[i].packing.start)
+          << "caller " << c << " instance " << i;
+      EXPECT_EQ(result.peak, reference[i].peak);
+      EXPECT_EQ(result.report.best_guess, reference[i].report.best_guess);
+      EXPECT_EQ(result.report.attempts, reference[i].report.attempts);
+      EXPECT_EQ(result.report.lp_configurations,
+                reference[i].report.lp_configurations);
+    }
+  }
 }
 
 }  // namespace

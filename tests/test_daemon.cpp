@@ -590,8 +590,8 @@ TEST(DaemonTest, RetiredStatsRequestGetsAnErrorFrameThenTheConnectionCloses) {
 }
 
 TEST(DaemonTest, ExpositionCarriesTheTracerSpanCounters) {
-  // The span counters leave the daemon as trace.spans_* samples, read
-  // from the process-wide tracer at scrape time.
+  // The span counters and the ring memory gauge leave the daemon as
+  // trace.* samples, read from the process-wide tracer at scrape time.
   const bool was_tracing = obs::tracing_enabled();
   obs::set_tracing_enabled(true);
   obs::Tracer::global().clear();
@@ -611,6 +611,9 @@ TEST(DaemonTest, ExpositionCarriesTheTracerSpanCounters) {
   EXPECT_LE(samples.at("dsp_trace_spans_recorded"),
             obs::Tracer::global().spans_recorded());
   EXPECT_EQ(samples.at("dsp_trace_spans_dropped"), 0u);
+  EXPECT_GT(samples.at("dsp_trace_ring_bytes"), 0u);
+  EXPECT_LE(samples.at("dsp_trace_ring_bytes"),
+            obs::Tracer::global().ring_bytes());
 }
 
 TEST(DaemonTest, WarmRestartKeepsTheCacheBitExactly) {

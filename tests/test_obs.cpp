@@ -279,6 +279,51 @@ TEST(TracerTest, AppendsAreCountedAndCleared) {
   EXPECT_EQ(tracer.spans_recorded(), 0u);
 }
 
+TEST(TracerTest, RingBytesCountOneRingPerRecordingThread) {
+  Tracer tracer;
+  EXPECT_EQ(tracer.ring_bytes(), 0u);
+  tracer.append(Phase::kSolve, 100, 50, 1);
+  const std::uint64_t one_ring = tracer.ring_bytes();
+  EXPECT_GE(one_ring, Tracer::kRingCapacity * 3 * sizeof(std::uint64_t));
+  tracer.append(Phase::kAttempt, 120, 10, 1);
+  EXPECT_EQ(tracer.ring_bytes(), one_ring);
+  std::thread([&tracer]() { tracer.append(Phase::kSolve, 200, 5, 2); }).join();
+  EXPECT_EQ(tracer.ring_bytes(), 2 * one_ring);
+}
+
+TEST(TracerTest, RepeatedSolve54CallsAddNoRings) {
+  // solve54 runs on the calling thread, so traced calls from one thread
+  // all land in that thread's ring: after the first call, ring memory is
+  // flat no matter how many calls follow.
+  const SwitchGuard guard;
+  set_tracing_enabled(true);
+  Rng rng(31);
+  const Instance inst = gen::random_uniform(40, 256, 4, 24, rng);
+  (void)approx::solve54(inst);
+  const std::uint64_t after_first = Tracer::global().ring_bytes();
+  EXPECT_GT(after_first, 0u);
+  for (int call = 1; call < 50; ++call) (void)approx::solve54(inst);
+  EXPECT_EQ(Tracer::global().ring_bytes(), after_first);
+}
+
+TEST(TracerTest, Solve54RecordsOnlyOnTheCallingThread) {
+  // Once the calling thread owns a ring, even the first traced solve54
+  // adds none: no step of the pipeline runs on another thread.
+  const SwitchGuard guard;
+  set_tracing_enabled(true);
+  { const ScopedSpan warm_up(Phase::kSolve); }
+  const std::uint64_t before = Tracer::global().ring_bytes();
+  ASSERT_GT(before, 0u);
+  const std::uint64_t spans_before = Tracer::global().spans_recorded();
+  Rng rng(32);
+  const Instance inst = gen::random_uniform(40, 256, 4, 24, rng);
+  approx::Approx54Params params;
+  params.epsilon = Fraction(1, 64);
+  (void)approx::solve54(inst, params);
+  EXPECT_GT(Tracer::global().spans_recorded(), spans_before);
+  EXPECT_EQ(Tracer::global().ring_bytes(), before);
+}
+
 TEST(TracerTest, RingOverflowDropsOldestAndCounts) {
   Tracer tracer;
   const std::size_t extra = 10;
@@ -448,7 +493,6 @@ TEST_P(TracingBitIdentity, PackingsIdenticalTracingOnAndOff) {
   params.backend = backend;
   params.threads = threads;
   params.bypass_cache = true;  // force a real solve on every pass
-  params.approx.probe_parallelism = 2;
 
   const auto solve_all = [&]() {
     service::CachingSolver solver(params);

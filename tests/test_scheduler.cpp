@@ -1,9 +1,8 @@
-// The work-stealing scheduler and the adaptive-parallelism controller
-// (DESIGN.md, "The work-stealing scheduler"): deque protocol order,
-// forced steals vs. the static-sharding baseline, pool-sizing fallbacks,
-// the AutoTuner's integer EWMA and decision rules, determinism of skewed
-// batches across thread counts x stealing modes x backends, and the
-// process-wide counter plumbing the serving layer reports.
+// The work-stealing scheduler (DESIGN.md, "The work-stealing scheduler"):
+// deque protocol order, forced steals vs. the static-sharding baseline,
+// pool-sizing fallbacks, determinism of skewed batches across thread
+// counts x stealing modes x backends, and the process-wide counter
+// plumbing the serving layer reports.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +14,8 @@
 #include <thread>
 #include <vector>
 
-#include "approx/solve54.hpp"
 #include "gen/families.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/autotune.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/cache.hpp"
@@ -60,9 +57,7 @@ TEST(ResolveWorkerCount, HardwareThreadsIsNeverZero) {
 // ---------------------------------------------------------------------------
 
 TEST(SchedulerProtocol, ExternalTasksDrainInSubmissionOrder) {
-  // One worker, gated so all three tasks are queued before any runs.  The
-  // solve54 overlap path relies on exactly this FIFO (bound task before
-  // witness task on a 1-worker pool).
+  // One worker, gated so all three tasks are queued before any runs.
   runtime::ThreadPool pool(runtime::ThreadPoolOptions{1, true});
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
@@ -137,6 +132,14 @@ TEST(SchedulerStealing, StaticModeNeverSteals) {
   blocker.get();
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(work[static_cast<std::size_t>(i)].get(), i);
+  }
+  // A worker counts a task as executed only after its body returned, i.e.
+  // just after the future became ready: wait for the last count to land.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pool.counters().executed < 9 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
   const runtime::SchedulerCounters counters = pool.counters();
   EXPECT_EQ(counters.steals, 0u);
@@ -255,155 +258,16 @@ TEST(SchedulerDeterminism, ParallelMapIdenticalWithAndWithoutStealing) {
 }
 
 // ---------------------------------------------------------------------------
-// AutoTuner: integer EWMA and the decision rules.
+// Serving layer: scheduler counters.
 // ---------------------------------------------------------------------------
 
-TEST(AutoTunerTest, FirstSampleSeedsTheEwma) {
-  runtime::AutoTuner tuner;
-  EXPECT_EQ(tuner.snapshot().attempt_samples, 0u);
-  tuner.record_attempt_nanos(1000);
-  runtime::TunerSnapshot snap = tuner.snapshot();
-  EXPECT_EQ(snap.attempt_samples, 1u);
-  EXPECT_EQ(snap.attempt_ewma_nanos, 1000u);
-}
-
-TEST(AutoTunerTest, EwmaIsExactIntegerArithmetic) {
-  runtime::AutoTuner tuner;
-  tuner.record_attempt_nanos(1000);
-  // ewma += (sample - ewma) >> 2.
-  tuner.record_attempt_nanos(2000);
-  EXPECT_EQ(tuner.snapshot().attempt_ewma_nanos, 1000u + (1000u >> 2));
-  tuner.record_attempt_nanos(0);
-  EXPECT_EQ(tuner.snapshot().attempt_ewma_nanos, 1250u - (1250u >> 2));
-}
-
-TEST(AutoTunerTest, CheapAttemptsSerializeTheProbes) {
-  runtime::AutoTuner tuner;
-  tuner.record_attempt_nanos(runtime::AutoTuner::kAttemptParallelNanos / 10);
-  EXPECT_EQ(tuner.choose_probe_concurrency(8), 1);
-  EXPECT_EQ(tuner.snapshot().last_probe_concurrency, 1);
-  EXPECT_GE(tuner.snapshot().decisions, 1u);
-}
-
-TEST(AutoTunerTest, ExpensiveAttemptsFanOutWithinTheCap) {
-  runtime::AutoTuner tuner;
-  tuner.record_attempt_nanos(runtime::AutoTuner::kAttemptParallelNanos * 10);
-  const int choice = tuner.choose_probe_concurrency(8);
-  EXPECT_GE(choice, 1);
-  EXPECT_LE(choice, 8);
-  // A cap of 1 (single guess) can never fan out, measured or not.
-  EXPECT_EQ(tuner.choose_probe_concurrency(1), 1);
-}
-
-TEST(AutoTunerTest, UnmeasuredProbeChoiceUsesFreeWidthBounded) {
-  // Optimistic before any sample: the first multi-guess round is exactly
-  // where the heavy instances show up.  Still within [1, cap].
-  runtime::AutoTuner tuner;
-  const int choice = tuner.choose_probe_concurrency(4);
-  EXPECT_GE(choice, 1);
-  EXPECT_LE(choice, 4);
-}
-
-TEST(AutoTunerTest, PricingStaysSerialUntilProvenExpensive) {
-  runtime::AutoTuner tuner;
-  // Unmeasured: conservative.
-  EXPECT_EQ(tuner.choose_pricing_threads(8), 1);
-  // Measured but cheap: still serial.
-  tuner.record_attempt_nanos(runtime::AutoTuner::kPricingParallelNanos / 4);
-  EXPECT_EQ(tuner.choose_pricing_threads(8), 1);
-  // Expensive attempts unlock the pool, bounded by the cap.
-  for (int i = 0; i < 16; ++i) {
-    tuner.record_attempt_nanos(runtime::AutoTuner::kPricingParallelNanos * 4);
-  }
-  const int choice = tuner.choose_pricing_threads(8);
-  EXPECT_GE(choice, 1);
-  EXPECT_LE(choice, 8);
-  EXPECT_EQ(tuner.snapshot().last_pricing_threads, choice);
-}
-
-// ---------------------------------------------------------------------------
-// solve54: the auto knobs are execution-only.
-// ---------------------------------------------------------------------------
-
-TEST(Solve54Scheduler, ProbeConcurrencyValuesAreBitIdentical) {
-  Rng rng(909);
-  const Instance inst = gen::random_uniform(48, 240, 4, 24, rng);
-  approx::Approx54Params base;
-  base.lp_engine = approx::ConfigLpEngine::kColumnGeneration;
-  base.probe_parallelism = 3;  // multi-guess rounds exist
-  base.probe_concurrency = 1;
-  const approx::Approx54Result reference = approx::solve54(inst, base);
-  for (const int concurrency : {0, 2, 4}) {
-    for (const bool stealing : {false, true}) {
-      approx::Approx54Params params = base;
-      params.probe_concurrency = concurrency;
-      params.stealing = stealing;
-      const approx::Approx54Result result = approx::solve54(inst, params);
-      EXPECT_EQ(result.packing.start, reference.packing.start)
-          << "probe_concurrency " << concurrency << " stealing " << stealing;
-      EXPECT_EQ(result.peak, reference.peak);
-      EXPECT_EQ(result.report.attempts, reference.report.attempts);
-      EXPECT_EQ(result.report.best_guess, reference.report.best_guess);
-      EXPECT_GE(result.report.probe_concurrency, 1);
-    }
-  }
-}
-
-TEST(Solve54Scheduler, AutoPricingThreadsAreBitIdentical) {
-  Rng rng(910);
-  const Instance inst = gen::random_uniform(40, 240, 4, 24, rng);
-  approx::Approx54Params base;
-  base.lp_engine = approx::ConfigLpEngine::kColumnGeneration;
-  base.lp_pricing_threads = 1;
-  const approx::Approx54Result reference = approx::solve54(inst, base);
-  for (const int pricing : {0, 2}) {
-    approx::Approx54Params params = base;
-    params.lp_pricing_threads = pricing;
-    const approx::Approx54Result result = approx::solve54(inst, params);
-    EXPECT_EQ(result.packing.start, reference.packing.start)
-        << "lp_pricing_threads " << pricing;
-    EXPECT_EQ(result.peak, reference.peak);
-    EXPECT_GE(result.report.pricing_threads, 1);
-  }
-}
-
-TEST(Solve54Scheduler, RejectsNegativeProbeConcurrency) {
-  Rng rng(911);
-  const Instance inst = gen::random_uniform(5, 10, 4, 4, rng);
-  approx::Approx54Params params;
-  params.probe_concurrency = -1;
-  EXPECT_THROW((void)approx::solve54(inst, params), InvalidInput);
-}
-
-TEST(Solve54Scheduler, SharedTunerAccumulatesAcrossCalls) {
-  Rng rng(912);
-  const Instance inst = gen::random_uniform(24, 120, 40, 16, rng);
-  runtime::AutoTuner tuner;
-  approx::Approx54Params params;
-  params.tuner = &tuner;
-  const approx::Approx54Result first = approx::solve54(inst, params);
-  const std::uint64_t samples_after_one = tuner.snapshot().attempt_samples;
-  EXPECT_GE(samples_after_one, first.report.attempts);
-  const approx::Approx54Result second = approx::solve54(inst, params);
-  EXPECT_EQ(second.packing.start, first.packing.start);
-  EXPECT_GT(tuner.snapshot().attempt_samples, samples_after_one);
-}
-
-// ---------------------------------------------------------------------------
-// Serving layer: counters and tuner surface.
-// ---------------------------------------------------------------------------
-
-TEST(ServingScheduler, CachingSolverExposesTunerAndCounters) {
+TEST(ServingScheduler, CachingSolverExportsSchedulerCounters) {
   service::ServeParams params;
   params.engine = service::ServeEngine::kSolve54;
-  params.approx.lp_pricing_threads = 0;  // auto: consults the shared tuner
   service::CachingSolver solver(params, service::CacheOptions{1 << 20, 1});
   Rng rng(913);
   const Instance inst = gen::random_uniform(24, 120, 40, 16, rng);
   (void)solver.solve(inst);
-  const runtime::TunerSnapshot snap = solver.tuner_snapshot();
-  EXPECT_GE(snap.decisions, 1u);
-  EXPECT_GE(snap.attempt_samples, 1u);
   // The process-total counters are exported through the solver's registry
   // source (exact values depend on what other tests ran in this process).
   const obs::MetricsSnapshot metrics = obs::Registry::global().snapshot();

@@ -17,6 +17,7 @@
 #include "gen/families.hpp"
 #include "gen/smart_grid.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/autotune.hpp"
 #include "runtime/channel.hpp"
 #include "service/cache.hpp"
 #include "util/check.hpp"
@@ -373,11 +374,6 @@ TEST(ParamsFingerprintTest, DistinctResultAffectingParamsNeverCollide) {
     v.approx.max_gap_boxes = 12;
     variants.push_back(v);
   }
-  {
-    ServeParams v = s54;
-    v.approx.probe_parallelism = 4;
-    variants.push_back(v);
-  }
   for (std::size_t a = 0; a < variants.size(); ++a) {
     for (std::size_t b = a + 1; b < variants.size(); ++b) {
       EXPECT_NE(params_fingerprint(variants[a]), params_fingerprint(variants[b]))
@@ -387,9 +383,9 @@ TEST(ParamsFingerprintTest, DistinctResultAffectingParamsNeverCollide) {
 }
 
 TEST(ParamsFingerprintTest, ExecutionKnobsDoNotFragmentTheCache) {
-  // Thread counts, backend, pricing threads and step-1 overlap are proven
-  // result-invariant; changing them must keep the fingerprint (so a warm
-  // cache keeps serving).
+  // Thread counts, backend, stealing and the (ignored) tuner pointer are
+  // proven result-invariant; changing them must keep the fingerprint (so a
+  // warm cache keeps serving).
   ServeParams base;
   base.engine = ServeEngine::kSolve54;
   const std::uint64_t reference = params_fingerprint(base);
@@ -400,12 +396,6 @@ TEST(ParamsFingerprintTest, ExecutionKnobsDoNotFragmentTheCache) {
   v.backend = ProfileBackendKind::kSparse;
   EXPECT_EQ(params_fingerprint(v), reference);
   v = base;
-  v.approx.lp_pricing_threads = 4;
-  EXPECT_EQ(params_fingerprint(v), reference);
-  v = base;
-  v.approx.overlap_step1 = false;
-  EXPECT_EQ(params_fingerprint(v), reference);
-  v = base;
   v.bypass_cache = true;
   EXPECT_EQ(params_fingerprint(v), reference);
   v = base;
@@ -414,12 +404,19 @@ TEST(ParamsFingerprintTest, ExecutionKnobsDoNotFragmentTheCache) {
   v = base;
   v.approx.stealing = false;
   EXPECT_EQ(params_fingerprint(v), reference);
+  runtime::AutoTuner tuner;
   v = base;
-  v.approx.probe_concurrency = 4;
+  v.approx.tuner = &tuner;
   EXPECT_EQ(params_fingerprint(v), reference);
-  v = base;
-  v.approx.lp_pricing_threads = 0;  // auto-tuned width is still execution-only
-  EXPECT_EQ(params_fingerprint(v), reference);
+}
+
+TEST(ParamsFingerprintTest, DefaultFingerprintsArePinned) {
+  // Persisted cache keys carry the fingerprint, so a --persist directory
+  // written by an earlier build stays warm only while these values hold.
+  EXPECT_EQ(params_fingerprint(ServeParams{}), 0xf254dbcd61d958c7ull);
+  ServeParams s54;
+  s54.engine = ServeEngine::kSolve54;
+  EXPECT_EQ(params_fingerprint(s54), 0xc81c0547f4b689faull);
 }
 
 // ---------------------------------------------------------------------------

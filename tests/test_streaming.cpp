@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <future>
 #include <optional>
@@ -370,31 +371,10 @@ TEST(PortfolioEvents, BaselinePortfolioSizeMatchesEveryBackend) {
 }
 
 // ---------------------------------------------------------------------------
-// solve54 step-1/round-1 overlap.
+// solve54 bisection shape.
 // ---------------------------------------------------------------------------
 
-TEST(Solve54Overlap, OverlapOnAndOffAreBitIdentical) {
-  Rng rng(404);
-  for (int round = 0; round < 4; ++round) {
-    const Instance instance = gen::random_uniform(36, 56, 24, 10, rng);
-    approx::Approx54Params on;
-    on.overlap_step1 = true;
-    approx::Approx54Params off;
-    off.overlap_step1 = false;
-    const approx::Approx54Result a = approx::solve54(instance, on);
-    const approx::Approx54Result b = approx::solve54(instance, off);
-    EXPECT_TRUE(a.report.overlapped);
-    EXPECT_FALSE(b.report.overlapped);
-    // The flag moves wall-clock time only: same probe grid, same answer.
-    EXPECT_EQ(a.packing, b.packing) << instance.summary();
-    EXPECT_EQ(a.peak, b.peak);
-    EXPECT_EQ(a.report.best_guess, b.report.best_guess);
-    EXPECT_EQ(a.report.rounds, b.report.rounds);
-    EXPECT_EQ(a.report.attempts, b.report.attempts);
-  }
-}
-
-TEST(Solve54Overlap, RoundOneIsTheFloorProbe) {
+TEST(Solve54Bisection, RoundOneIsTheFloorProbe) {
   Rng rng(405);
   const Instance instance = gen::random_uniform(30, 48, 20, 10, rng);
   const approx::Approx54Result result = approx::solve54(instance);
@@ -407,25 +387,37 @@ TEST(Solve54Overlap, RoundOneIsTheFloorProbe) {
     EXPECT_GT(result.report.best_guess, result.report.lower_bound);
   }
   EXPECT_GE(result.report.attempts, 1u);
+  // One guess per round.
+  EXPECT_EQ(result.report.rounds, result.report.attempts);
 }
 
-TEST(Solve54Overlap, OverlapComposesWithSpeculativeBisection) {
-  Rng rng(406);
-  const Instance instance = gen::random_uniform(48, 64, 24, 12, rng);
-  approx::Approx54Params sequential;
-  sequential.overlap_step1 = false;
-  const approx::Approx54Result base = approx::solve54(instance, sequential);
-  for (const int k : {2, 3}) {
-    approx::Approx54Params params;
-    params.probe_parallelism = k;
-    params.overlap_step1 = true;
-    const approx::Approx54Result wide = approx::solve54(instance, params);
-    validate_packing(instance, wide.packing);
-    EXPECT_EQ(wide.report.best_guess, base.report.best_guess);
-    EXPECT_LE(wide.report.rounds, base.report.rounds);
-    EXPECT_LE(wide.peak, wide.report.upper_bound);
-    EXPECT_GE(wide.peak, wide.report.lower_bound);
+TEST(Solve54Bisection, AttemptsAreLogarithmicInTheSearchRange) {
+  // The floor probe, then a plain bisection over [lower + 1, upper]: an
+  // interval of n guesses takes at most bit_width(n) midpoint probes.
+  Rng rng(407);
+  std::size_t multi_round = 0;
+  for (int round = 0; round < 24; ++round) {
+    const Instance instance =
+        round % 3 == 0   ? gen::random_uniform(40, 256, 4, 24, rng)
+        : round % 3 == 1 ? gen::random_uniform(48, 1024, 512, 100, rng)
+                         : gen::tall_items(40, 256, 64, rng);
+    for (const Fraction eps : {Fraction(1, 4), Fraction(1, 64)}) {
+      approx::Approx54Params params;
+      params.epsilon = eps;
+      const approx::Approx54Report report =
+          approx::solve54(instance, params).report;
+      ASSERT_LE(report.lower_bound, report.upper_bound);
+      const auto range =
+          static_cast<std::uint64_t>(report.upper_bound - report.lower_bound);
+      EXPECT_LE(report.attempts, 1u + std::bit_width(range))
+          << instance.summary() << " lower " << report.lower_bound
+          << " upper " << report.upper_bound;
+      EXPECT_EQ(report.rounds, report.attempts);
+      if (report.attempts > 1) ++multi_round;
+    }
   }
+  EXPECT_GE(multi_round, 1u) << "no instance got past the floor probe; the "
+                                "bound above is untested";
 }
 
 // ---------------------------------------------------------------------------

@@ -38,13 +38,9 @@ feeds the answer.  The service layer intentionally uses time (admission
 deadlines, persistence timestamps) and is covered by the thread-safety
 analysis instead.
 
-src/runtime gets a narrower, wall-clock-only scan: the auto-tuner
-(runtime/autotune.{hpp,cpp}) is the one blessed place where wall-clock
-measurements feed back into execution — its choices are proven
-result-invariant, so timing there cannot reorder answers.  Every *other*
-runtime file must stay clock-free, which is what keeps timing from
-leaking through the pool/parallel plumbing into the result-affecting
-roots above.  (tools/lint_fixtures/timing_violation is a negative
+src/runtime gets a narrower, wall-clock-only scan: no runtime file may
+read a clock, which is what keeps timing from leaking through the
+pool/parallel plumbing into the result-affecting roots above.  (tools/lint_fixtures/timing_violation is a negative
 fixture tree proving this gate actually fires; CI runs the lint against
 it and requires failure.)
 
@@ -83,13 +79,6 @@ RESULT_AFFECTING = ("src/core", "src/approx", "src/algo", "src/lp")
 # covered by the thread-safety analysis; unordered containers and FP are
 # legitimate there).
 RUNTIME_DIR = "src/runtime"
-
-# The one blessed wall-clock reader in runtime/: the adaptive-parallelism
-# controller.  Its header documents why timing is result-invariant there.
-RUNTIME_CLOCK_ALLOWLIST = (
-    "src/runtime/autotune.hpp",
-    "src/runtime/autotune.cpp",
-)
 
 # The observability layer: scanned for wall-clock and randomness.  Spans
 # observe time but never feed it back into solving (obs/trace.hpp's
@@ -308,9 +297,8 @@ def main() -> int:
     if not args.no_clang_query:
         findings.extend(run_clang_query(root, files))
 
-    # Runtime pass: wall-clock only, with the auto-tuner allowlisted — a
-    # clock anywhere else in runtime/ is how timing would creep toward the
-    # result-affecting roots.
+    # Runtime pass: wall-clock only — a clock anywhere in runtime/ is how
+    # timing would creep toward the result-affecting roots.
     runtime_dir = root / RUNTIME_DIR
     if not runtime_dir.is_dir():
         print(
@@ -322,10 +310,9 @@ def main() -> int:
         runtime_dir.glob("*.cpp")
     )
     for f in runtime_files:
-        rel = str(f.relative_to(root))
-        if rel in RUNTIME_CLOCK_ALLOWLIST:
-            continue
-        findings.extend(lint_file(f, rel, rules=("wall-clock",)))
+        findings.extend(
+            lint_file(f, str(f.relative_to(root)), rules=("wall-clock",))
+        )
     files.extend(runtime_files)
 
     # Observability pass: randomness is banned everywhere under src/obs,
