@@ -27,12 +27,6 @@ struct NamedAlgorithm {
 [[nodiscard]] std::vector<NamedAlgorithm> baseline_portfolio(
     ProfileBackendKind backend);
 
-/// Member count of the baseline portfolio — identical for every backend
-/// (the backend only rebinds placement profiles, it never adds or removes
-/// members).  Use this to size thread pools without constructing and
-/// discarding a portfolio.
-[[nodiscard]] std::size_t baseline_portfolio_size();
-
 /// Runs the whole portfolio and returns the packing with the lowest peak.
 /// If `winner` is non-null it receives the winning algorithm's name.
 /// The default kAuto backend resolves per instance, so large-W instances

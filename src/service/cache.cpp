@@ -8,8 +8,8 @@
 
 #include "algo/portfolio.hpp"
 #include "obs/trace.hpp"
-#include "runtime/parallel.hpp"
 #include "runtime/sync.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
@@ -53,9 +53,9 @@ std::uint64_t params_fingerprint(const ServeParams& params) {
   hasher.absorb(static_cast<std::uint64_t>(params.engine));
   if (params.engine == ServeEngine::kSolve54) {
     // Result-affecting solve54 knobs only.  Excluded on purpose — proved
-    // result-invariant by the determinism suites — are ServeParams::backend,
-    // ::threads and ::stealing (see DESIGN.md, "The serving layer"); the
-    // ignored Approx54Params::stealing and ::tuner never reach a result.
+    // result-invariant by the determinism suites — are ServeParams::backend
+    // and ::threads (see DESIGN.md, "The serving layer"); the ignored stub
+    // fields never reach a result.
     const approx::Approx54Params& approx = params.approx;
     hasher.absorb_signed(approx.epsilon.num());
     hasher.absorb_signed(approx.epsilon.den());
@@ -332,8 +332,6 @@ CachingSolver::CachingSolver(const ServeParams& params,
         const runtime::SchedulerCounters sched = runtime::scheduler_totals();
         out.push_back({"scheduler.submitted", sched.submitted, false});
         out.push_back({"scheduler.executed", sched.executed, false});
-        out.push_back({"scheduler.steals", sched.steals, false});
-        out.push_back({"scheduler.steal_fails", sched.steal_fails, false});
         out.push_back(
             {"scheduler.occupancy", runtime::process_active_workers(), true});
       });
@@ -383,35 +381,9 @@ SolveResponse CachingSolver::solve(const Instance& instance) {
 
 std::vector<SolveResponse> CachingSolver::solve_many(
     const std::vector<Instance>& instances) {
-  if (instances.empty()) return {};
-  runtime::ThreadPool pool(runtime::ThreadPoolOptions{
-      runtime::own_pool_size(params_.threads, instances.size()),
-      params_.stealing});
   return runtime::parallel_map(
-      pool, instances,
+      instances, params_.threads,
       [this](const Instance& instance, std::size_t) { return solve(instance); });
-}
-
-std::vector<SolveResponse> CachingSolver::solve_many_stream(
-    const std::vector<Instance>& instances, runtime::Channel<ServeEvent>& sink) {
-  const runtime::ChannelCloser<ServeEvent> closer(&sink);
-  if (instances.empty()) return {};
-  runtime::ThreadPool pool(runtime::ThreadPoolOptions{
-      runtime::own_pool_size(params_.threads, instances.size()),
-      params_.stealing});
-  return runtime::parallel_map(
-      pool, instances, [&](const Instance& instance, std::size_t index) {
-        try {
-          SolveResponse response = solve(instance);
-          sink.push(ServeEvent{index, response});
-          return response;
-        } catch (...) {
-          // Fail fast on the stream, like solve_many_stream: a live consumer
-          // must not mistake a failed serve for a clean finish.
-          sink.push_exception(std::current_exception());
-          throw;
-        }
-      });
 }
 
 }  // namespace dsp::service

@@ -36,8 +36,6 @@
 #include "core/packing.hpp"
 #include "core/profile.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/channel.hpp"
-#include "runtime/thread_pool.hpp"
 #include "service/canonical.hpp"
 
 namespace dsp::service {
@@ -64,15 +62,14 @@ struct ServeParams {
   /// profile-backend equivalence suite), so the backend is NOT part of the
   /// cache key — a dense miss serves later sparse requests.
   ProfileBackendKind backend = ProfileBackendKind::kAuto;
-  /// Execution knob: pool size for solve_many fan-out; 0 = hardware.
+  /// Execution knob: solve_many fan-out workers; 0 = hardware.
   std::size_t threads = 0;
-  /// Execution knob: work stealing on the batch pools
-  /// (ThreadPoolOptions::stealing); off is the static-sharding baseline.
+  /// Ignored.  Kept only because the serving benchmark (perfbench/) still
+  /// names it; goes with the next change to that benchmark.
   bool stealing = true;
   /// Result-affecting solve54 parameters (engine == kSolve54 only):
-  /// epsilon, ladder, LP engine and caps are fingerprinted; the ignored
-  /// `stealing` and `tuner` fields and `backend` (overridden by the one
-  /// above) are not.
+  /// epsilon, ladder, LP engine and caps are fingerprinted; the two ignored
+  /// stub fields and `backend` (overridden by the one above) are not.
   approx::Approx54Params approx;
   /// Debug escape hatch: compute every request (no lookups, no inserts).
   /// Responses must stay bit-identical — the bypass only skips the cache.
@@ -233,14 +230,7 @@ struct SolveResponse {
   [[nodiscard]] bool operator==(const SolveResponse&) const = default;
 };
 
-/// One completion-order event from a streaming served batch (mirrors
-/// runtime::BatchEvent).
-struct ServeEvent {
-  std::size_t index = 0;
-  SolveResponse response;
-};
-
-/// The serving front door over runtime::solve_many-style batches: every
+/// The serving front door over batches of requests: every
 /// request is canonicalized, deduplicated through the SolveCache, solved
 /// with the configured pipeline, and answered in the requester's item
 /// order.  Thread-safe: solve/solve_many may be called concurrently.
@@ -252,20 +242,13 @@ class CachingSolver {
   /// Serves one request on the calling thread.
   [[nodiscard]] SolveResponse solve(const Instance& instance);
 
-  /// Serves a batch on a thread pool (runtime::solve_many sharding).
+  /// Serves a batch on `params().threads` workers (runtime::parallel_map).
   /// Responses are in request order, and every payload (packing, peak,
   /// winner) is bit-identical to serving that request alone; duplicate
   /// requests inside the batch collapse onto one computation via
   /// single-flight, which is visible only in the `outcome` fields.
   [[nodiscard]] std::vector<SolveResponse> solve_many(
       const std::vector<Instance>& instances);
-
-  /// Streaming batch serve (runtime::solve_many_stream semantics): one
-  /// ServeEvent per request in completion order, exception slots on worker
-  /// failure, `sink` closed on every path; the returned vector is request
-  /// order and identical to solve_many's.
-  [[nodiscard]] std::vector<SolveResponse> solve_many_stream(
-      const std::vector<Instance>& instances, runtime::Channel<ServeEvent>& sink);
 
   [[nodiscard]] const ServeParams& params() const { return params_; }
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }

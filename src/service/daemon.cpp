@@ -74,7 +74,7 @@ Daemon::Daemon(const DaemonOptions& options)
       solver_(options.serve, options.cache),
       gate_(options.max_concurrent != 0
                 ? options.max_concurrent
-                : runtime::ThreadPool::hardware_threads(),
+                : runtime::hardware_threads(),
             options.max_queue) {
   if (!options_.persist_dir.empty()) {
     store_.emplace(options_.persist_dir, options_.snapshot_every);

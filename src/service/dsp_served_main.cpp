@@ -55,7 +55,6 @@
 #include "core/bounds.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "service/cli.hpp"
 #include "service/daemon.hpp"
 #include "service/wire.hpp"
@@ -259,9 +258,6 @@ int run_daemon(const CliOptions& options) {
   }
   daemon.stop();
   const service::DaemonStats stats = daemon.stats();
-  // Lifetime scheduler counters ride along: by drain time every transient
-  // pool has retired, so the process-wide totals are complete.
-  const runtime::SchedulerCounters sched = runtime::scheduler_totals();
   JsonRow()
       .field("dsp_served", "drained")
       .field("accepted", stats.accepted)
@@ -269,8 +265,6 @@ int run_daemon(const CliOptions& options) {
       .field("served", stats.served)
       .field("shed", stats.shed)
       .field("errors", stats.errors)
-      .field("steals", sched.steals)
-      .field("steal_fails", sched.steal_fails)
       .field("spans_recorded", obs::Tracer::global().spans_recorded())
       .field("spans_dropped", obs::Tracer::global().spans_dropped())
       .print(std::cout);

@@ -13,9 +13,6 @@
 //     --engine portfolio|solve54   pipeline to serve with (default portfolio)
 //     --backend auto|dense|sparse  profile backend (default auto)
 //     --threads N                  batch fan-out workers (default hardware)
-//     --steal 0|1                  work stealing on the batch pool
-//                                  (default 1; 0 = static sharding; results
-//                                  identical either way)
 //     --cache-mb M                 solve-cache budget in MiB (default 64)
 //     --repeat R                   serve the request list R times (default 1;
 //                                  repeats after the first hit the cache)
@@ -68,7 +65,7 @@ struct CliOptions {
 void print_usage(std::ostream& os) {
   os << "usage: dsp_solve [--engine portfolio|solve54] [--backend "
         "auto|dense|sparse]\n"
-        "                 [--threads N] [--steal 0|1] [--cache-mb M] [--repeat R] "
+        "                 [--threads N] [--cache-mb M] [--repeat R] "
         "[--no-cache]\n"
         "                 [--metrics-out FILE] [--trace-out FILE]\n"
         "                 [--emit-corpus DIR] <file-or-directory>...\n";
@@ -126,10 +123,6 @@ void print_usage(std::ostream& os) {
       }
     } else if (arg == "--threads") {
       options.serve.threads = parse_count(arg, next_value(i, arg));
-    } else if (arg == "--steal") {
-      const std::size_t value = parse_count(arg, next_value(i, arg));
-      if (value > 1) usage_error("--steal takes 0 or 1");
-      options.serve.stealing = value == 1;
     } else if (arg == "--cache-mb") {
       options.cache_mb = parse_count(arg, next_value(i, arg));
       if (options.cache_mb == 0) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -221,6 +223,55 @@ TEST(Solve54, PinnedAnswersOnServingFamilies) {
   EXPECT_GE(lp_used, 1u);
   EXPECT_GE(multi_attempt, 1u);
   EXPECT_EQ(hash, 0x398eceec44dd8afaull) << std::hex << hash;
+}
+
+// ---------------------------------------------------------------------------
+// Bisection shape.
+// ---------------------------------------------------------------------------
+
+TEST(Solve54Bisection, RoundOneIsTheFloorProbe) {
+  Rng rng(405);
+  const Instance instance = gen::random_uniform(30, 48, 20, 10, rng);
+  const Approx54Result result = solve54(instance);
+  // If the optimistic floor probe succeeds, the search ends in one round
+  // with best_guess == lower_bound; otherwise the bisection continues and
+  // best_guess (if any) lies strictly above the floor.
+  if (result.report.rounds == 1) {
+    EXPECT_EQ(result.report.best_guess, result.report.lower_bound);
+  } else if (result.report.best_guess > 0) {
+    EXPECT_GT(result.report.best_guess, result.report.lower_bound);
+  }
+  EXPECT_GE(result.report.attempts, 1u);
+  // One guess per round.
+  EXPECT_EQ(result.report.rounds, result.report.attempts);
+}
+
+TEST(Solve54Bisection, AttemptsAreLogarithmicInTheSearchRange) {
+  // The floor probe, then a plain bisection over [lower + 1, upper]: an
+  // interval of n guesses takes at most bit_width(n) midpoint probes.
+  Rng rng(407);
+  std::size_t multi_round = 0;
+  for (int round = 0; round < 24; ++round) {
+    const Instance instance =
+        round % 3 == 0   ? gen::random_uniform(40, 256, 4, 24, rng)
+        : round % 3 == 1 ? gen::random_uniform(48, 1024, 512, 100, rng)
+                         : gen::tall_items(40, 256, 64, rng);
+    for (const Fraction eps : {Fraction(1, 4), Fraction(1, 64)}) {
+      Approx54Params params;
+      params.epsilon = eps;
+      const Approx54Report report = solve54(instance, params).report;
+      ASSERT_LE(report.lower_bound, report.upper_bound);
+      const auto range =
+          static_cast<std::uint64_t>(report.upper_bound - report.lower_bound);
+      EXPECT_LE(report.attempts, 1u + std::bit_width(range))
+          << instance.summary() << " lower " << report.lower_bound
+          << " upper " << report.upper_bound;
+      EXPECT_EQ(report.rounds, report.attempts);
+      if (report.attempts > 1) ++multi_round;
+    }
+  }
+  EXPECT_GE(multi_round, 1u) << "no instance got past the floor probe; the "
+                                "bound above is untested";
 }
 
 /// Solves `inst` with `base` and with `changed`, and expects the same

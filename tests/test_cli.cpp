@@ -1,7 +1,7 @@
 // The serving executables' command lines, driven as a user drives them:
-// dsp_solve keeps --threads and --steal (its batch pool uses both), while
-// the daemon, which solves each request on its connection's thread, takes
-// neither; the retired probe and pricing widths are unknown to both.
+// dsp_solve keeps --threads (its batch fan-out uses it), while the daemon,
+// which solves each request on its connection's thread, does not take it;
+// --steal and the retired probe and pricing widths are unknown to both.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -69,7 +69,7 @@ TEST_P(DspSolveRetiredFlag, IsRejectedAsUnknown) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cli, DspSolveRetiredFlag,
-                         ::testing::Values("--probe-concurrency",
+                         ::testing::Values("--steal", "--probe-concurrency",
                                            "--pricing-threads"));
 
 TEST(DspServedCli, UsageListsNoThreadOrTuningFlags) {
@@ -83,25 +83,27 @@ TEST(DspServedCli, UsageListsNoThreadOrTuningFlags) {
   }
 }
 
-TEST(DspSolveCli, UsageKeepsThreadsAndSteal) {
+TEST(DspSolveCli, UsageKeepsThreads) {
   const RunResult result = run(kSolve + " --help");
   EXPECT_EQ(result.exit_code, 0);
-  EXPECT_NE(result.output.find("[--threads N] [--steal 0|1]"),
-            std::string::npos)
+  EXPECT_NE(result.output.find("[--threads N]"), std::string::npos)
       << result.output;
-  for (const char* flag : {"--probe-concurrency", "--pricing-threads"}) {
+  for (const char* flag :
+       {"--steal", "--probe-concurrency", "--pricing-threads"}) {
     EXPECT_EQ(result.output.find(flag), std::string::npos)
         << flag << " in\n" << result.output;
   }
 }
 
-TEST(DspSolveCli, ThreadsAndStealServeTheGoldenCorpus) {
-  // The golden file was written with --threads 1 and stealing on; a wider
-  // static-sharded batch pool must serve the same rows byte for byte.
+class DspSolveThreads : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DspSolveThreads, ServesTheGoldenCorpus) {
+  // The golden file was written with --threads 1; a wider batch fan-out
+  // must serve the same rows byte for byte.
   const RunResult result =
-      run("cd " + quoted(DSP_SOURCE_DIR) + " && " + kSolve +
-          " --threads 2 --steal 0 --repeat 2 --cache-mb 8 examples/instances"
-          " 2>/dev/null");
+      run("cd " + quoted(DSP_SOURCE_DIR) + " && " + kSolve + " --threads " +
+          GetParam() +
+          " --repeat 2 --cache-mb 8 examples/instances 2>/dev/null");
   ASSERT_EQ(result.exit_code, 0);
   std::ifstream golden(std::string(DSP_SOURCE_DIR) +
                        "/examples/dsp_solve_expected.jsonl");
@@ -111,12 +113,7 @@ TEST(DspSolveCli, ThreadsAndStealServeTheGoldenCorpus) {
   EXPECT_EQ(result.output, expected.str());
 }
 
-TEST(DspSolveCli, StealTakesZeroOrOne) {
-  const RunResult result = run(kSolve + " --steal 2 examples/instances 2>&1");
-  EXPECT_EQ(result.exit_code, 1);
-  EXPECT_NE(result.output.find("--steal takes 0 or 1"), std::string::npos)
-      << result.output;
-}
+INSTANTIATE_TEST_SUITE_P(Cli, DspSolveThreads, ::testing::Values("2", "8"));
 
 TEST(DspSolveCli, ThreadsRejectsTrailingGarbage) {
   const RunResult result =

@@ -96,6 +96,24 @@ TEST(Rng, UniformStaysInRange) {
   }
 }
 
+TEST(RngSpawn, StreamsAreIndependentOfDrawPosition) {
+  Rng a(555);
+  Rng b(555);
+  (void)b.uniform(0, 1000);  // advance b only
+  // spawn depends on (seed, stream), not on how much was drawn.
+  Rng child_a = a.spawn(3);
+  Rng child_b = b.spawn(3);
+  EXPECT_EQ(child_a.uniform(0, 1 << 30), child_b.uniform(0, 1 << 30));
+  // Distinct streams diverge (overwhelmingly likely under SplitMix64).
+  Rng other = a.spawn(4);
+  bool differs = false;
+  Rng again = a.spawn(3);
+  for (int i = 0; i < 8; ++i) {
+    if (other.uniform(0, 1 << 30) != again.uniform(0, 1 << 30)) differs = true;
+  }
+  EXPECT_TRUE(differs);
+}
+
 TEST(Table, PrintsHeaderAndRows) {
   Table t({"algo", "ratio"});
   t.begin_row().cell("greedy").cell(1.5, 2);
