@@ -29,8 +29,11 @@ int main() {
   }
   for (const std::size_t copies : {2ul, 3ul}) {
     const Instance inst = gen::gap_instance_replicated(copies);
+    // Node budgets, not seconds, so the table does not depend on the host.
+    // The SP search on gap x3 stays inconclusive at this budget (about 22 s
+    // on a 4-core x86-64 VM).
     exact::Limits limits;
-    limits.max_seconds = 20.0;
+    limits.max_nodes = 40'000'000;
     const auto d = exact::decide_peak(inst, 4, limits);
     const auto s = exact::sp_decide_height(inst, 4, limits);
     table.begin_row()
@@ -50,8 +53,9 @@ int main() {
   int measured = 0;
   double max_gap = 0.0;
   double sum_gap = 0.0;
+  // Every random instance here settles in under 10k nodes.
   exact::Limits limits;
-  limits.max_seconds = 1.0;
+  limits.max_nodes = 2'000'000;
   for (int round = 0; round < 120 && measured < 60; ++round) {
     const Length w = rng.uniform(4, 7);
     const Instance inst = gen::random_uniform(

@@ -24,8 +24,9 @@ int main() {
     const std::int64_t target = 16 + 4 * (round % 3);
     const gen::HardnessInstance h = planted ? gen::planted_yes(k, target, rng)
                                             : gen::sampled_no(k, target, rng);
+    // A node budget, not seconds, so the table does not depend on the host.
     exact::Limits limits;
-    limits.max_seconds = 8.0;
+    limits.max_nodes = 50'000'000;
     const auto opt = exact::min_peak(h.instance, limits);
     const Height portfolio_peak =
         peak_height(h.instance, algo::best_of_portfolio(h.instance));

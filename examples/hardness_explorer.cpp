@@ -37,8 +37,9 @@ int main() {
       const Packing witness = gen::yes_witness_packing(h, *groups);
       witness_peak = peak_height(h.instance, witness);
     }
+    // A node budget, not seconds, so the table does not depend on the host.
     exact::Limits limits;
-    limits.max_seconds = 10.0;
+    limits.max_nodes = 50'000'000;
     const auto opt = exact::min_peak(h.instance, limits);
     const Packing heuristic = algo::best_of_portfolio(h.instance);
     const Height heuristic_peak = peak_height(h.instance, heuristic);

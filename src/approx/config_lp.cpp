@@ -287,8 +287,7 @@ void run_dense(const Instance& instance, const std::vector<std::size_t>& items,
   }
 
   const lp::LpSolution solution = [&] {
-    const obs::ScopedSpan span(obs::Phase::kLpResolve,
-                               &result->lp_resolve_nanos);
+    const obs::ScopedSpan span(obs::Phase::kLpResolve);
     return lp::solve(problem);
   }();
   result->lp_pivots = solution.pivots;
@@ -365,12 +364,10 @@ void run_column_generation(const Instance& instance,
   for (;;) {
     // One span per CG round (resolve + price + add), with the LP resolve
     // nested inside — the trace shows exactly where a round's time went.
-    const obs::ScopedSpan round_span(obs::Phase::kPricingRound,
-                                     &result->pricing_nanos);
+    const obs::ScopedSpan round_span(obs::Phase::kPricingRound);
     ++result->pricing_rounds;
     const lp::LpSolution& sol = [&]() -> const lp::LpSolution& {
-      const obs::ScopedSpan span(obs::Phase::kLpResolve,
-                                 &result->lp_resolve_nanos);
+      const obs::ScopedSpan span(obs::Phase::kLpResolve);
       return master.resolve();
     }();
     result->lp_pivots += sol.pivots;

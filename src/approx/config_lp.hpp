@@ -81,11 +81,6 @@ struct VerticalFillResult {
   /// loop before convergence, or a pricing knapsack had to be clamped.
   bool capped = false;
   double lp_objective = 0.0;        ///< LP optimum (wasted capacity) if solved
-  /// Phase-latency breakdown (obs scoped spans): wall nanos spent in CG
-  /// pricing rounds and in LP (re)solves.  Observed, never branched on;
-  /// zero when the obs metrics switch is off.
-  std::uint64_t pricing_nanos = 0;
-  std::uint64_t lp_resolve_nanos = 0;
   /// Start positions for placed items, parallel to the `items` argument
   /// (-1 when the item overflowed its configuration).
   std::vector<Length> start;

@@ -35,10 +35,6 @@ struct AttemptOutcome {
   std::size_t lp_pricing_rounds = 0;
   bool lp_capped = false;
   std::size_t lp_overflow = 0;
-  /// Phase-latency observations for this attempt (zero with obs off).
-  std::uint64_t attempt_nanos = 0;
-  std::uint64_t pricing_nanos = 0;
-  std::uint64_t lp_resolve_nanos = 0;
 };
 
 /// Sorts indices by non-increasing key.
@@ -160,7 +156,6 @@ AttemptOutcome attempt(const Instance& instance, Height h_guess,
     const std::vector<GapBox> gaps = gap_boxes_of_profile(
         occupancy, budget, min_vertical, params.max_gap_boxes);
     VerticalFillParams fill_params;
-    fill_params.engine = params.lp_engine;
     fill_params.max_configs = params.max_configs;
     fill_params.max_pricing_rounds = params.max_pricing_rounds;
     fill_params.scratch = &scratch.fill;
@@ -171,8 +166,6 @@ AttemptOutcome attempt(const Instance& instance, Height h_guess,
     outcome.lp_pricing_rounds = fill.pricing_rounds;
     outcome.lp_capped = fill.capped;
     outcome.lp_overflow = fill.overflow.size();
-    outcome.pricing_nanos = fill.pricing_nanos;
-    outcome.lp_resolve_nanos = fill.lp_resolve_nanos;
     for (std::size_t k = 0; k < vertical.size(); ++k) {
       if (fill.start[k] >= 0) place(vertical[k], fill.start[k]);
     }
@@ -228,7 +221,6 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
               "epsilon must be in (0, 1/2]");
   Approx54Result result;
   Approx54Report& report = result.report;
-  report.lp_engine = params.lp_engine;
 
   // Step 1: bounds.  The witness doubles as the fallback packing.
   report.lower_bound = combined_lower_bound(instance);
@@ -257,12 +249,9 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
     ++report.attempts;
     AttemptOutcome outcome;
     {
-      const obs::ScopedSpan span(obs::Phase::kAttempt, &outcome.attempt_nanos);
+      const obs::ScopedSpan span(obs::Phase::kAttempt);
       outcome = attempt(instance, guess, params, scratch);
     }
-    report.attempt_nanos += outcome.attempt_nanos;
-    report.pricing_nanos += outcome.pricing_nanos;
-    report.lp_resolve_nanos += outcome.lp_resolve_nanos;
     best_pipeline_peak = std::min(best_pipeline_peak, outcome.peak);
     if (outcome.peak < best_peak) {
       best_peak = outcome.peak;

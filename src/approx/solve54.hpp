@@ -19,16 +19,13 @@ struct Approx54Params {
   Fraction epsilon = Fraction(1, 4);
   /// Lemma-2 ladder length (see classify.hpp).
   int ladder_length = 6;
-  /// Engine behind the Lemma-10 configuration LP.  Column generation is
-  /// exact (no enumeration cliff) and is the default; dense enumeration is
-  /// the reference oracle.
-  ConfigLpEngine lp_engine = ConfigLpEngine::kColumnGeneration;
-  /// Dense: enumeration cap.  Column generation: master-column safety valve
-  /// (hitting it sets the `lp_capped` diagnostic instead of silently
-  /// dropping configurations).
+  /// The Lemma-10 configuration LP always runs by column generation
+  /// (dense enumeration is a test-only reference, see config_lp.hpp).
+  /// Safety valve on its master columns: hitting it sets the `lp_capped`
+  /// diagnostic instead of silently dropping configurations.
   std::size_t max_configs = 4096;
-  /// Column generation: safety valve on generate -> re-solve rounds (the
-  /// paired valve to max_configs; also sets `lp_capped` when hit).
+  /// Safety valve on generate -> re-solve rounds (the paired valve to
+  /// max_configs; also sets `lp_capped` when hit).
   std::size_t max_pricing_rounds = 64;
   /// Cap on the number of gap boxes handed to the LP (rows stay small).
   std::size_t max_gap_boxes = 48;
@@ -55,22 +52,12 @@ struct Approx54Report {
   std::size_t count_per_category[7] = {0, 0, 0, 0, 0, 0, 0};
   std::int64_t medium_area = 0;  ///< area of M u Mv at the best guess
   bool lp_used = false;          ///< Lemma-10 LP solved at the best guess
-  /// Engine the Lemma-10 stage ran with (echoes Approx54Params::lp_engine).
-  ConfigLpEngine lp_engine = ConfigLpEngine::kColumnGeneration;
   std::size_t lp_configurations = 0;  ///< columns generated at the best guess
-  std::size_t lp_pricing_rounds = 0;  ///< CG re-solve rounds (0 for dense)
-  bool lp_capped = false;        ///< enumeration cap / safety valve was hit
+  std::size_t lp_pricing_rounds = 0;  ///< CG re-solve rounds at the best guess
+  bool lp_capped = false;        ///< a CG safety valve was hit
   std::size_t lp_overflow = 0;   ///< items through the extra-box path
   std::size_t attempts = 0;      ///< binary-search probes (all rounds)
   std::size_t rounds = 0;        ///< binary-search rounds (== attempts)
-  /// Phase-level latency breakdown (obs/trace.hpp scoped spans), summed
-  /// over every attempt of the bisection: total attempt wall nanos, the
-  /// slice spent in CG pricing rounds, and the slice inside LP (re)solves.
-  /// Observed, never branched on; all zero when the obs metrics switch is
-  /// off.
-  std::uint64_t attempt_nanos = 0;
-  std::uint64_t pricing_nanos = 0;
-  std::uint64_t lp_resolve_nanos = 0;
 };
 
 struct Approx54Result {

@@ -7,7 +7,6 @@
 #include "core/bounds.hpp"
 #include "core/occupancy.hpp"
 #include "util/check.hpp"
-#include "util/stopwatch.hpp"
 
 namespace dsp::exact {
 
@@ -60,10 +59,6 @@ class PeakDecisionSearch {
       aborted_ = true;
       return false;
     }
-    if ((nodes_ & 0xFFF) == 0 && watch_.seconds() > limits_.max_seconds) {
-      aborted_ = true;
-      return false;
-    }
     const std::size_t item_index = order_[depth];
     const Item& it = instance_.item(item_index);
 
@@ -99,7 +94,6 @@ class PeakDecisionSearch {
   std::vector<Length> starts_;
   std::uint64_t nodes_ = 0;
   bool aborted_ = false;
-  Stopwatch watch_;
 };
 
 }  // namespace

@@ -9,16 +9,16 @@ namespace dsp::exact {
 
 /// Search limits shared by the exact solvers.  Exact DSP/SP are strongly
 /// NP-hard (the very subject of the paper), so every solver reports whether
-/// it finished or hit a limit.
+/// it finished or hit a limit.  The budget counts search nodes, never
+/// seconds, so an inconclusive answer is a function of the input alone.
 struct Limits {
   std::uint64_t max_nodes = 50'000'000;
-  double max_seconds = 30.0;
 };
 
 enum class SearchStatus {
   kProvedFeasible,    ///< a packing within the budget was found
   kProvedInfeasible,  ///< the whole tree was exhausted
-  kLimitReached,      ///< inconclusive: node or time limit hit
+  kLimitReached,      ///< inconclusive: node limit hit
 };
 
 struct DecisionResult {

@@ -9,7 +9,6 @@
 #include "sp/shelf.hpp"
 #include "sp/sleator.hpp"
 #include "util/check.hpp"
-#include "util/stopwatch.hpp"
 
 namespace dsp::exact {
 
@@ -87,10 +86,6 @@ class SpDecisionSearch {
       aborted_ = true;
       return false;
     }
-    if ((nodes_ & 0xFFF) == 0 && watch_.seconds() > limits_.max_seconds) {
-      aborted_ = true;
-      return false;
-    }
     const std::uint64_t key = state_hash(depth);
     if (refuted_.contains(key)) return false;
 
@@ -131,10 +126,11 @@ class SpDecisionSearch {
   std::vector<Mask> columns_;
   std::vector<std::size_t> order_;
   std::vector<sp::SpPlacement> placement_;
+  // det-lint: allow(unordered-container): probed by key only (contains,
+  // insert, size); never iterated, so its order cannot reach a result.
   std::unordered_set<std::uint64_t> refuted_;
   std::uint64_t nodes_ = 0;
   bool aborted_ = false;
-  Stopwatch watch_;
 };
 
 }  // namespace

@@ -1,20 +1,18 @@
 #pragma once
 
-// The metrics registry (DESIGN.md, "Observability"): named counters,
-// gauges, and fixed-bucket log2 latency histograms behind one process-wide
-// export surface.
+// The metrics registry (DESIGN.md, "Observability"): log2 latency
+// histograms and pull sources behind one process-wide export surface.
 //
 // Before this layer, every stats consumer was hand-wired: CacheStats,
 // SchedulerCounters, AdmissionGate::Counters and the daemon's own atomics
 // each grew bespoke plumbing.  The registry unifies them, and its
 // exposition is the only way counters leave the process:
 //
-//  * owned instruments — Counter (sharded-atomic, monotonic), Gauge
-//    (last-value), Histogram (64 log2 buckets, sharded-atomic, exact
-//    integer quantiles) — are created-or-found by name and live for the
-//    process.
+//  * Histogram (64 log2 buckets, sharded-atomic, exact integer
+//    quantiles) — the one owned instrument, created-or-found by name and
+//    living for the process; the phase spans (obs/trace.hpp) feed it.
 //  * sources — pull callbacks that sample an existing stats struct at
-//    snapshot time (the Prometheus "collector" idiom).  The legacy structs
+//    snapshot time (the Prometheus "collector" idiom).  The stats structs
 //    keep their storage and their per-instance semantics; the registry is
 //    how they all reach one exposition.
 //
@@ -44,7 +42,7 @@
 
 namespace dsp::obs {
 
-/// Stripes per instrument: enough to keep 8-wide increment storms off one
+/// Stripes per histogram: enough to keep 8-wide record storms off one
 /// cache line without bloating every histogram.  Must be a power of two.
 inline constexpr std::size_t kStripes = 8;
 
@@ -58,44 +56,8 @@ inline constexpr std::size_t kHistogramBuckets = 64;
 [[nodiscard]] std::size_t stripe_index() noexcept;
 
 // ---------------------------------------------------------------------------
-// Instruments.
+// Histograms.
 // ---------------------------------------------------------------------------
-
-/// Monotonic counter, striped across cache lines so concurrent increments
-/// from pool workers do not serialize on one atomic.
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) noexcept {
-    stripes_[stripe_index()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const Stripe& stripe : stripes_) {
-      total += stripe.v.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
- private:
-  struct alignas(64) Stripe {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Stripe, kStripes> stripes_{};
-};
-
-/// Last-value instrument for levels (resident entries, queue depth).
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) noexcept { v_.fetch_add(d, std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
 
 /// Frozen bucket counts of one histogram; all derived statistics (count,
 /// sum, quantiles) come from here so they agree with each other.
@@ -146,7 +108,7 @@ class Histogram {
 // The registry.
 // ---------------------------------------------------------------------------
 
-/// One exported scalar sample (from an owned instrument or a source).
+/// One exported scalar sample (from a source).
 struct Sample {
   std::string name;
   std::uint64_t value = 0;
@@ -177,8 +139,6 @@ class Registry {
   /// Create-or-find by name.  References stay valid for the registry's
   /// lifetime (node-stable storage), so hot paths resolve once and then
   /// touch only atomics.
-  [[nodiscard]] Counter& counter(std::string_view name);
-  [[nodiscard]] Gauge& gauge(std::string_view name);
   [[nodiscard]] Histogram& histogram(std::string_view name);
 
   /// RAII registration of a pull source; unregisters on destruction.
@@ -221,8 +181,8 @@ class Registry {
   /// drained one's).
   [[nodiscard]] Source register_source(SourceFn fn);
 
-  /// Owned instruments plus every source's samples, names sorted; for
-  /// duplicate names the latest registration wins.
+  /// Every source's samples and every histogram, names sorted; for
+  /// duplicate sample names the latest registration wins.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Prometheus-style text exposition of snapshot(): `dsp_`-prefixed
@@ -240,10 +200,6 @@ class Registry {
   };
 
   mutable runtime::Mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
-      DSP_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
-      DSP_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       DSP_GUARDED_BY(mutex_);
   std::vector<SourceEntry> sources_ DSP_GUARDED_BY(mutex_);

@@ -16,9 +16,7 @@ namespace dsp::obs {
 
 namespace {
 
-std::atomic<bool> g_metrics_enabled{true};
 std::atomic<bool> g_tracing_enabled{false};
-#ifndef DSP_OBS_NOOP  // span types are compiled away entirely under NOOP
 std::atomic<std::uint64_t> g_next_request_id{0};
 thread_local std::uint64_t t_request_id = 0;
 
@@ -28,7 +26,6 @@ thread_local std::uint64_t t_request_id = 0;
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-#endif  // DSP_OBS_NOOP
 
 constexpr std::array<std::string_view,
                      static_cast<std::size_t>(Phase::kCount)>
@@ -59,12 +56,6 @@ Histogram& phase_histogram(Phase phase) {
   return *table[static_cast<std::size_t>(phase)];
 }
 
-void set_metrics_enabled(bool enabled) noexcept {
-  g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
-bool metrics_enabled() noexcept {
-  return g_metrics_enabled.load(std::memory_order_relaxed);
-}
 void set_tracing_enabled(bool enabled) noexcept {
   g_tracing_enabled.store(enabled, std::memory_order_relaxed);
 }
@@ -232,23 +223,12 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
 // ScopedSpan / RequestScope.
 // ---------------------------------------------------------------------------
 
-#ifndef DSP_OBS_NOOP
-
-ScopedSpan::ScopedSpan(Phase phase) : ScopedSpan(phase, nullptr) {}
-
-ScopedSpan::ScopedSpan(Phase phase, std::uint64_t* accumulate_nanos)
-    : accumulate_(accumulate_nanos), phase_(phase) {
-  if (metrics_enabled() || tracing_enabled()) {
-    armed_ = true;
-    start_nanos_ = now_nanos();
-  }
-}
+ScopedSpan::ScopedSpan(Phase phase)
+    : start_nanos_(now_nanos()), phase_(phase) {}
 
 ScopedSpan::~ScopedSpan() {
-  if (!armed_) return;
   const std::uint64_t dur = now_nanos() - start_nanos_;
-  if (accumulate_ != nullptr) *accumulate_ += dur;
-  if (metrics_enabled()) phase_histogram(phase_).record(dur);
+  phase_histogram(phase_).record(dur);
   if (tracing_enabled()) {
     Tracer::global().append(phase_, start_nanos_, dur, t_request_id);
   }
@@ -269,7 +249,5 @@ RequestScope::~RequestScope() {
 }
 
 std::uint64_t current_request_id() noexcept { return t_request_id; }
-
-#endif  // DSP_OBS_NOOP
 
 }  // namespace dsp::obs

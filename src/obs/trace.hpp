@@ -18,20 +18,16 @@
 //   pricing_round  one config-LP column-generation round
 //   lp_resolve     one warm-started LP resolve
 //
-// Two independent switches, both process-wide and off the result path:
+// Every span feeds the per-phase latency histogram in the Registry
+// ("phase.<name>_nanos"); that path is always on, and its cost is what
+// perfbench's trace.overhead_frac measures.  One switch, process-wide and
+// off the result path, adds to it:
 //
-//  * metrics (default ON): span durations feed the per-phase latency
-//    histograms in the Registry ("phase.<name>_nanos") and any accumulator
-//    the caller passed (Approx54Report's phase breakdown).
 //  * tracing (default OFF): spans are additionally appended to this
 //    thread's ring buffer for the Chrome trace.  The buffer is a
 //    fixed-capacity ring allocated on the thread's first traced span —
 //    recording never allocates after that, and overflow overwrites the
 //    oldest spans (counted as dropped) instead of growing.
-//
-// With both off a ScopedSpan never reads a clock.  Compiling with
-// -DDSP_OBS_NOOP additionally turns the span types into empty inline
-// definitions, for measuring the (already sub-noise) disabled overhead.
 //
 // Determinism: a span observes time, it never acts on it — no control flow
 // anywhere reads a span, a histogram, or the tracer.  The determinism lint
@@ -69,10 +65,6 @@ enum class Phase : std::uint8_t {
 
 /// The per-phase latency histogram ("phase.<name>_nanos" in the Registry).
 [[nodiscard]] Histogram& phase_histogram(Phase phase);
-
-/// Metrics switch: span durations feed the phase histograms (default on).
-void set_metrics_enabled(bool enabled) noexcept;
-[[nodiscard]] bool metrics_enabled() noexcept;
 
 /// Tracing switch: spans additionally land in the ring buffers (default
 /// off).  Flip before traffic; flipping mid-request only affects spans
@@ -132,18 +124,14 @@ class Tracer {
   std::uint64_t tracer_id_ = 0;
 };
 
-#ifndef DSP_OBS_NOOP
-
 /// RAII phase timer: construction stamps the start, destruction records
-/// the duration into the phase histogram (metrics on), the thread's ring
-/// (tracing on), and `*accumulate_nanos` (when given and a switch is on).
-/// With both switches off, neither endpoint reads a clock.  Out-of-line on
-/// purpose: the instrumented result-affecting files never see a clock
-/// token, which is what keeps them inside the determinism lint's rules.
+/// the duration into the phase histogram and, with tracing on, the
+/// thread's ring.  Out-of-line on purpose: the instrumented
+/// result-affecting files never see a clock token, which is what keeps
+/// them inside the determinism lint's rules.
 class ScopedSpan {
  public:
   explicit ScopedSpan(Phase phase);
-  ScopedSpan(Phase phase, std::uint64_t* accumulate_nanos);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -151,9 +139,7 @@ class ScopedSpan {
 
  private:
   std::uint64_t start_nanos_ = 0;
-  std::uint64_t* accumulate_ = nullptr;
   Phase phase_;
-  bool armed_ = false;
 };
 
 /// Binds a request id to the calling thread for the scope's lifetime, so
@@ -178,28 +164,5 @@ class RequestScope {
 /// The id bound by the innermost RequestScope on this thread (0 = none;
 /// pool workers executing spawned subtasks run unbound).
 [[nodiscard]] std::uint64_t current_request_id() noexcept;
-
-#else  // DSP_OBS_NOOP: empty inline span types, zero code at call sites.
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(Phase, std::uint64_t* = nullptr) noexcept {}
-  ~ScopedSpan() {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-class RequestScope {
- public:
-  RequestScope() noexcept {}
-  ~RequestScope() {}
-  RequestScope(const RequestScope&) = delete;
-  RequestScope& operator=(const RequestScope&) = delete;
-  [[nodiscard]] std::uint64_t id() const noexcept { return 0; }
-};
-
-inline std::uint64_t current_request_id() noexcept { return 0; }
-
-#endif  // DSP_OBS_NOOP
 
 }  // namespace dsp::obs

@@ -60,7 +60,10 @@ std::uint64_t params_fingerprint(const ServeParams& params) {
     hasher.absorb_signed(approx.epsilon.num());
     hasher.absorb_signed(approx.epsilon.den());
     hasher.absorb_signed(approx.ladder_length);
-    hasher.absorb(static_cast<std::uint64_t>(approx.lp_engine));
+    // The slot of the removed LP-engine knob, pinned to the one engine
+    // solve54 runs, so keys persisted by earlier builds still hit.
+    hasher.absorb(
+        static_cast<std::uint64_t>(approx::ConfigLpEngine::kColumnGeneration));
     hasher.absorb(approx.max_configs);
     hasher.absorb(approx.max_pricing_rounds);
     hasher.absorb(approx.max_gap_boxes);

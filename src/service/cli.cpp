@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <filesystem>
+#include <fstream>
+#include <iostream>
 #include <map>
 #include <ostream>
 
@@ -49,6 +51,18 @@ std::vector<std::string> expand_instance_paths(
     }
   }
   return files;
+}
+
+void write_observability_file(std::string_view program,
+                              const std::string& path, std::string_view what,
+                              const std::function<void(std::ostream&)>& body) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  if (os) body(os);
+  os.flush();
+  if (!os) {
+    std::cerr << program << ": warning: cannot write " << what << " to "
+              << path << "\n";
+  }
 }
 
 std::string_view outcome_name(CacheOutcome outcome) {

@@ -2,11 +2,13 @@
 
 // Helpers shared by the serving executables (dsp_solve, dsp_served): strict
 // flag-value parsing, instance-path expansion with load-time diagnostics,
-// and the JSON-lines row format both front doors print — dsp_served's
-// client mode must stay byte-identical to dsp_solve so the golden corpus
+// the --metrics-out / --trace-out file writer, and the JSON-lines row
+// format both front doors print — dsp_served's client mode must stay
+// byte-identical to dsp_solve so the golden corpus
 // (examples/dsp_solve_expected.jsonl) guards both.
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -32,6 +34,13 @@ namespace dsp::service {
 /// expansion time, not a load failure halfway through serving.
 [[nodiscard]] std::vector<std::string> expand_instance_paths(
     const std::vector<std::string>& paths);
+
+/// Writes `body(os)` to `path` (truncating), and on an I/O error prints
+/// "<program>: warning: cannot write <what> to <path>" to stderr instead of
+/// failing: a full disk must not turn a clean run into a nonzero exit.
+void write_observability_file(std::string_view program,
+                              const std::string& path, std::string_view what,
+                              const std::function<void(std::ostream&)>& body);
 
 /// The flag-value spelling of a cache outcome ("miss" / "hit" / "join").
 [[nodiscard]] std::string_view outcome_name(CacheOutcome outcome);

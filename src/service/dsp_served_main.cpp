@@ -50,8 +50,6 @@
 #include <string>
 #include <vector>
 
-#include <fstream>
-
 #include "core/bounds.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -221,20 +219,6 @@ void install_signal_handlers() {
   sigaction(SIGINT, &action, nullptr);
 }
 
-/// Writes `body(os)` to `path`, warning (not failing) on I/O errors — a
-/// full disk must not turn a clean drain into a nonzero exit.
-template <typename Body>
-void write_observability_file(const std::string& path, const char* what,
-                              Body&& body) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (os) body(os);
-  os.flush();
-  if (!os) {
-    std::cerr << "dsp_served: warning: cannot write " << what << " to "
-              << path << "\n";
-  }
-}
-
 int run_daemon(const CliOptions& options) {
   if (!options.trace_out.empty()) obs::set_tracing_enabled(true);
   service::Daemon daemon(options.daemon);
@@ -285,14 +269,15 @@ int run_daemon(const CliOptions& options) {
         .print(std::cout);
   }
   if (!options.metrics_out.empty()) {
-    write_observability_file(
-        options.metrics_out, "metrics exposition", [](std::ostream& os) {
+    service::write_observability_file(
+        "dsp_served", options.metrics_out, "metrics exposition",
+        [](std::ostream& os) {
           os << obs::Registry::global().prometheus_text();
         });
   }
   if (!options.trace_out.empty()) {
-    write_observability_file(
-        options.trace_out, "trace", [](std::ostream& os) {
+    service::write_observability_file(
+        "dsp_served", options.trace_out, "trace", [](std::ostream& os) {
           obs::Tracer::global().write_chrome_trace(os);
         });
   }
@@ -340,8 +325,9 @@ int run_client(const CliOptions& options,
       std::cout, service::SummaryRow{rows.size(), files.size(), options.repeat,
                                      served.stats, served.cache_mb});
   if (!options.metrics_out.empty()) {
-    write_observability_file(options.metrics_out, "metrics exposition",
-                             [&](std::ostream& os) { os << exposition; });
+    service::write_observability_file(
+        "dsp_served", options.metrics_out, "metrics exposition",
+        [&](std::ostream& os) { os << exposition; });
   }
   return 0;
 }

@@ -33,7 +33,6 @@
 // 2 on load/solve failures.
 
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -257,30 +256,24 @@ int main(int argc, char** argv) {
                             solver.stats(), options.cache_mb});
     if (options.repeat > 1) {
       // Per-repeat latency quantiles, on stderr so the golden stdout diff
-      // never sees them (and zeros when metrics are compiled/switched off).
+      // never sees them.
       const obs::HistogramSnapshot final_snap = solve_hist.snapshot();
       print_latency_row("cold", after_cold.since(before));
       print_latency_row("warm", final_snap.since(after_cold));
       print_latency_row("overall", final_snap.since(before));
     }
     if (!options.metrics_out.empty()) {
-      std::ofstream os(options.metrics_out,
-                       std::ios::binary | std::ios::trunc);
-      if (os) os << obs::Registry::global().prometheus_text();
-      os.flush();
-      if (!os) {
-        std::cerr << "dsp_solve: warning: cannot write metrics exposition to "
-                  << options.metrics_out << "\n";
-      }
+      service::write_observability_file(
+          "dsp_solve", options.metrics_out, "metrics exposition",
+          [](std::ostream& os) {
+            os << obs::Registry::global().prometheus_text();
+          });
     }
     if (!options.trace_out.empty()) {
-      std::ofstream os(options.trace_out, std::ios::binary | std::ios::trunc);
-      if (os) obs::Tracer::global().write_chrome_trace(os);
-      os.flush();
-      if (!os) {
-        std::cerr << "dsp_solve: warning: cannot write trace to "
-                  << options.trace_out << "\n";
-      }
+      service::write_observability_file(
+          "dsp_solve", options.trace_out, "trace", [](std::ostream& os) {
+            obs::Tracer::global().write_chrome_trace(os);
+          });
     }
   } catch (const dsp::InvalidInput& error) {
     std::cerr << "dsp_solve: " << error.what() << "\n";

@@ -4,8 +4,7 @@
 
 namespace dsp {
 
-/// Wall-clock stopwatch for the benchmark harnesses and for time-limited
-/// exact solvers.
+/// Wall-clock stopwatch for the benchmark harnesses.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -114,6 +115,30 @@ TEST_P(DspSolveThreads, ServesTheGoldenCorpus) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cli, DspSolveThreads, ::testing::Values("2", "8"));
+
+class DspSolveUnwritableOutput
+    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+
+TEST_P(DspSolveUnwritableOutput, WarnsOnStderrAndStillExitsZero) {
+  // An observability file that cannot be written is a warning, never a
+  // failed run, and the warning names the file and what it would hold.
+  const auto& [flag, what] = GetParam();
+  const std::string path = "/nonexistent-dsp-output-dir/out";
+  const RunResult result =
+      run("cd " + quoted(DSP_SOURCE_DIR) + " && " + kSolve + " --threads 1 " +
+          flag + " " + path + " examples/instances 2>&1 >/dev/null");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_EQ(result.output, std::string("dsp_solve: warning: cannot write ") +
+                               what + " to " + path + "\n");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cli, DspSolveUnwritableOutput,
+    ::testing::Values(std::make_pair("--metrics-out", "metrics exposition"),
+                      std::make_pair("--trace-out", "trace")),
+    [](const auto& info) {
+      return std::string(info.index == 0 ? "metrics" : "trace");
+    });
 
 TEST(DspSolveCli, ThreadsRejectsTrailingGarbage) {
   const RunResult result =

@@ -206,28 +206,21 @@ TEST(ConfigLpEngines, SafetyValveSetsCappedInsteadOfLooping) {
   EXPECT_EQ(one_round.pricing_rounds, 1u);
 }
 
-TEST(Solve54Engines, BothEnginesProduceFeasiblePackings) {
+TEST(Solve54Engines, ColumnGenerationProducesFeasiblePackings) {
   Rng rng(505);
   // Narrow items on a wide strip: the regime where the V category (and
   // hence the Lemma-10 LP) is actually populated.
   bool any_lp_used = false;
   for (int round = 0; round < 4; ++round) {
     const Instance inst = gen::random_uniform(50, 240, 4, 24, rng);
-    for (const ConfigLpEngine engine : {ConfigLpEngine::kDenseEnumeration,
-                                        ConfigLpEngine::kColumnGeneration}) {
-      Approx54Params params;
-      params.lp_engine = engine;
-      const Approx54Result result = solve54(inst, params);
-      ASSERT_EQ(feasibility_error(inst, result.packing), std::nullopt);
-      EXPECT_EQ(result.report.lp_engine, engine);
-      EXPECT_LE(result.peak, result.report.upper_bound);
-      if (engine == ConfigLpEngine::kColumnGeneration &&
-          result.report.lp_used) {
-        any_lp_used = true;
-        // The new diagnostics must actually be plumbed through the report.
-        EXPECT_GE(result.report.lp_pricing_rounds, 1u);
-        EXPECT_GE(result.report.lp_configurations, 1u);
-      }
+    const Approx54Result result = solve54(inst);
+    ASSERT_EQ(feasibility_error(inst, result.packing), std::nullopt);
+    EXPECT_LE(result.peak, result.report.upper_bound);
+    if (result.report.lp_used) {
+      any_lp_used = true;
+      // The CG diagnostics must actually be plumbed through the report.
+      EXPECT_GE(result.report.lp_pricing_rounds, 1u);
+      EXPECT_GE(result.report.lp_configurations, 1u);
     }
   }
   EXPECT_TRUE(any_lp_used) << "no round exercised the configuration LP; "
@@ -241,8 +234,7 @@ TEST(Solve54Engines, BitIdenticalAcrossBackends) {
       gen::smart_grid(40, 96, rng),
   };
   for (const Instance& inst : instances) {
-    Approx54Params baseline_params;
-    baseline_params.lp_engine = ConfigLpEngine::kColumnGeneration;
+    const Approx54Params baseline_params;
     const Approx54Result baseline = solve54(inst, baseline_params);
     for (const ProfileBackendKind backend :
          {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {

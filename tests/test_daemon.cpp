@@ -195,6 +195,31 @@ TEST(CliHelpersTest, ExpandPathsDiagnosesMissingAndEmptyPaths) {
   EXPECT_EQ(files[1], dir.path() + "/b.json");
 }
 
+TEST(CliHelpersTest, WriteObservabilityFileWarnsInsteadOfFailing) {
+  // Both front doors write --metrics-out / --trace-out through this one
+  // helper: a writable path gets the body, an unwritable one a warning.
+  StateDir dir("obsfile");
+  std::filesystem::create_directories(dir.path());
+  const std::string path = dir.path() + "/out.prom";
+  std::ofstream(path) << "stale contents that must be truncated\n";
+  testing::internal::CaptureStderr();
+  write_observability_file("prog", path, "metrics",
+                           [](std::ostream& os) { os << "body\n"; });
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), "body\n");
+
+  const std::string unwritable = dir.path() + "/no_such_dir/out.json";
+  testing::internal::CaptureStderr();
+  write_observability_file("prog", unwritable, "trace",
+                           [](std::ostream& os) { os << "body\n"; });
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: warning: cannot write trace to " + unwritable + "\n");
+  EXPECT_FALSE(std::filesystem::exists(unwritable));
+}
+
 TEST(CliHelpersTest, ReadServedViewNamesTheSampleItLacks) {
   // dsp_served --connect prints its summary row from the daemon's
   // exposition; a sample it needs but cannot find is an error naming that

@@ -7,6 +7,8 @@
 #include "exact/sp_exact.hpp"
 #include "exact/three_partition.hpp"
 #include "gen/families.hpp"
+#include "gen/gap.hpp"
+#include "gen/hardness.hpp"
 #include "transform/transform.hpp"
 #include "util/prng.hpp"
 
@@ -161,6 +163,42 @@ TEST(Limits, NodeLimitReportsInconclusive) {
   // With 10 nodes the search cannot finish a 12-item tree (it may still
   // prove infeasibility through the lower bound, which is also acceptable).
   EXPECT_NE(result.status, SearchStatus::kProvedFeasible);
+}
+
+TEST(Limits, NodeBudgetStopsAtExactlyMaxNodesEveryRun) {
+  // The budget counts search nodes, never seconds: an inconclusive search
+  // stops at exactly max_nodes, and a rerun reproduces it on any host.
+  // Contiguous packing of three gap copies at height 4 stays open far
+  // beyond this budget.
+  const Instance inst = gen::gap_instance_replicated(3);
+  exact::Limits limits;
+  limits.max_nodes = 100'000;
+  const auto first = exact::sp_decide_height(inst, 4, limits);
+  EXPECT_EQ(first.status, SearchStatus::kLimitReached);
+  EXPECT_EQ(first.nodes, limits.max_nodes);
+  const auto again = exact::sp_decide_height(inst, 4, limits);
+  EXPECT_EQ(again.status, first.status);
+  EXPECT_EQ(again.nodes, first.nodes);
+}
+
+TEST(Limits, DspNodeBudgetStopsAtExactlyMaxNodesEveryRun) {
+  // The peak search obeys the same node-only budget as the SP search.
+  // Twelve 7s, a 9 and an 11 (sum 104) have no half of sum 52, so peak 2
+  // is infeasible although the area bound allows it; the search stays open
+  // far beyond this budget.
+  std::vector<std::int64_t> values(12, 7);
+  values.push_back(9);
+  values.push_back(11);
+  const Instance inst = gen::partition_to_dsp(values, 52);
+  ASSERT_EQ(combined_lower_bound(inst), 2);
+  exact::Limits limits;
+  limits.max_nodes = 20'000;
+  const auto first = exact::decide_peak(inst, 2, limits);
+  EXPECT_EQ(first.status, SearchStatus::kLimitReached);
+  EXPECT_EQ(first.nodes, limits.max_nodes);
+  const auto again = exact::decide_peak(inst, 2, limits);
+  EXPECT_EQ(again.status, first.status);
+  EXPECT_EQ(again.nodes, first.nodes);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Batch fan-out (DESIGN.md, "Batch fan-out"): parallel_map's shape and
 // error contract, the worker-count rule, pinned batch checksums,
 // bit-identity across worker counts and profile backends, and the
-// process-wide counters the serving layer exports.  The wall-clock load
-// balance check is in test_fanout_balance.cpp.
+// process-wide counters the serving layer exports.
 
 #include <gtest/gtest.h>
 
@@ -218,32 +217,53 @@ INSTANTIATE_TEST_SUITE_P(Workers, ParallelMapErrors,
 // Self-scheduling: free workers take the items behind a slow one.
 // ---------------------------------------------------------------------------
 
-TEST(ParallelMap, FreeWorkersFinishTheRestWhileOneItemBlocks) {
+class ParallelMapSkew
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(ParallelMapSkew, FreeWorkersFinishTheRestWhileOneItemBlocks) {
   // Item 0 blocks on a gate; the other workers must drain every remaining
-  // item while it is still blocked.
-  std::vector<int> items(9);
+  // item while it is still blocked, and the worker holding it claims no
+  // other index.  Static sharding would leave the blocked worker's share
+  // undone.  The schedule is asserted, not wall time, so a loaded host
+  // cannot fail it.
+  const auto& [workers, count] = GetParam();
+  std::vector<int> items(count);
   for (std::size_t i = 0; i < items.size(); ++i) {
     items[i] = static_cast<int>(i);
   }
   std::promise<void> gate;
   const std::shared_future<void> open = gate.get_future().share();
   std::atomic<std::size_t> others_done{0};
+  std::vector<std::thread::id> ran_on(items.size());
+  const auto run_item = [&](const int& x, std::size_t) {
+    ran_on[static_cast<std::size_t>(x)] = std::this_thread::get_id();
+    if (x == 0) {
+      open.wait();
+    } else {
+      others_done.fetch_add(1);
+    }
+    return x;
+  };
   auto batch = std::async(std::launch::async, [&]() {
-    return runtime::parallel_map(items, 2, [&](const int& x, std::size_t) {
-      if (x == 0) {
-        open.wait();
-      } else {
-        others_done.fetch_add(1);
-      }
-      return x;
-    });
+    return runtime::parallel_map(items, workers, run_item);
   });
   wait_until([&]() { return others_done.load() == items.size() - 1; });
   EXPECT_EQ(others_done.load(), items.size() - 1)
       << "the light items waited behind the blocked one";
   gate.set_value();
   EXPECT_EQ(batch.get(), items);
+  EXPECT_EQ(std::count(ran_on.begin(), ran_on.end(), ran_on[0]), 1)
+      << "the blocked item's worker also ran a light item";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkersAndItems, ParallelMapSkew,
+    ::testing::Values(std::make_tuple(std::size_t{2}, std::size_t{9}),
+                      std::make_tuple(std::size_t{8}, std::size_t{65})),
+    [](const auto& info) {
+      return "w" + std::to_string(std::get<0>(info.param)) + "_n" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // ---------------------------------------------------------------------------
 // Bit-identity: the same answers for any worker count and either profile

@@ -355,11 +355,6 @@ TEST(ParamsFingerprintTest, DistinctResultAffectingParamsNeverCollide) {
   }
   {
     ServeParams v = s54;
-    v.approx.lp_engine = approx::ConfigLpEngine::kDenseEnumeration;
-    variants.push_back(v);
-  }
-  {
-    ServeParams v = s54;
     v.approx.max_configs = 1024;
     variants.push_back(v);
   }

@@ -33,8 +33,9 @@ that contract silently:
                        double is either dead weight or a rounding bug
                        waiting to reorder two packings.
 
-Scope: src/core, src/approx, src/algo, src/lp — the code whose output
-feeds the answer.  The service layer intentionally uses time (admission
+Scope: src/core, src/approx, src/algo, src/lp, src/exact — the code whose
+output feeds the answer (src/exact is the oracle the approximation ratios
+are checked against).  The service layer intentionally uses time (admission
 deadlines, persistence timestamps) and is covered by the thread-safety
 analysis instead.
 
@@ -73,7 +74,7 @@ import subprocess
 import sys
 
 # Directories whose code affects results, relative to the repo root.
-RESULT_AFFECTING = ("src/core", "src/approx", "src/algo", "src/lp")
+RESULT_AFFECTING = ("src/core", "src/approx", "src/algo", "src/lp", "src/exact")
 
 # The runtime layer: scanned for wall-clock use only (its concurrency is
 # covered by the thread-safety analysis; unordered containers and FP are
