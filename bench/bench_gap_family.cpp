@@ -30,10 +30,11 @@ int main() {
   for (const std::size_t copies : {2ul, 3ul}) {
     const Instance inst = gen::gap_instance_replicated(copies);
     // Node budgets, not seconds, so the table does not depend on the host.
-    // The SP search on gap x3 stays inconclusive at this budget (about 22 s
-    // on a 4-core x86-64 VM).
+    // Every search here that settles needs at most about 200k nodes (the
+    // x3 DSP decision); the SP search on gap x3 stays inconclusive even at
+    // 40M nodes, so a larger budget only spends time.
     exact::Limits limits;
-    limits.max_nodes = 40'000'000;
+    limits.max_nodes = 2'000'000;
     const auto d = exact::decide_peak(inst, 4, limits);
     const auto s = exact::sp_decide_height(inst, 4, limits);
     table.begin_row()

@@ -32,7 +32,6 @@
 
 #include "approx/pricing.hpp"
 #include "bench_common.hpp"
-#include "core/occupancy.hpp"
 #include "core/segment_tree.hpp"
 #include "core/simd.hpp"
 #include "core/window_maxima.hpp"
@@ -56,8 +55,8 @@ struct Row {
 
 /// Pinned-seed load profile: deterministic, spiky enough that searches do
 /// real work (plateaus, one global max, varied run lengths).
-AlignedVec<Height> make_load(Length w, std::uint64_t seed) {
-  AlignedVec<Height> load(static_cast<std::size_t>(w));
+std::vector<Height> make_load(Length w, std::uint64_t seed) {
+  std::vector<Height> load(static_cast<std::size_t>(w));
   Rng rng(seed);
   Height level = 100;
   for (std::size_t x = 0; x < load.size();) {
@@ -103,7 +102,8 @@ std::vector<Row> run_suite(bool smoke) {
   const std::vector<Length> widths = {1024, 8192, 65536};
 
   for (const Length w : widths) {
-    const AlignedVec<Height> load = make_load(w, 0xD5Aull + static_cast<std::uint64_t>(w));
+    const std::vector<Height> load =
+        make_load(w, 0xD5Aull + static_cast<std::uint64_t>(w));
     const auto n = load.size();
 
     // Dense occupancy reduction scan: the peak() / window_max() kernel.
@@ -122,7 +122,7 @@ std::vector<Row> run_suite(bool smoke) {
     // Mutating scans: add() and raise_to() over the whole strip.
     rows.push_back(time_kernel("occupancy_raise", w, 64, repeats,
                                [&](std::uint64_t& fold) {
-      AlignedVec<Height> buf = load;
+      std::vector<Height> buf = load;
       for (std::size_t q = 0; q < 32; ++q) {
         simd::add_delta(buf.data(), n, static_cast<Height>(q % 5) - 2);
         simd::raise_floor(buf.data(), n, static_cast<Height>(60 + q));
@@ -175,11 +175,10 @@ std::vector<Row> run_suite(bool smoke) {
     }
     rows.push_back(time_kernel("pricing_dp", 0, 32, smoke ? 1 : 21,
                                [&](std::uint64_t& fold) {
-      approx::PricingScratch scratch;
       for (std::size_t q = 0; q < 32; ++q) {
         const auto capacity = static_cast<Height>(500 + 250 * q);
         const approx::PricedConfig priced =
-            approx::price_knapsack(heights, values, capacity, scratch);
+            approx::price_knapsack(heights, values, capacity);
         for (const int c : priced.config) {
           fold = mix(fold, static_cast<std::uint64_t>(c));
         }

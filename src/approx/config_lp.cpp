@@ -1,10 +1,13 @@
 #include "approx/config_lp.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <numeric>
 #include <span>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "lp/simplex.hpp"
 #include "obs/trace.hpp"
@@ -22,31 +25,27 @@ struct MasterColumn {
 };
 
 /// Flat SoA store of configurations: `classes` ints per row, all rows
-/// contiguous in one buffer (VerticalFillScratch::config_storage), plus a
-/// hash-indexed exact dedup of (box, config) pairs.  Replaces the node-based
-/// std::set<std::pair<box, Config>> store: appending is a bump into the flat
-/// buffer and dedup probes never chase per-node allocations.
+/// contiguous in one buffer, plus a hash-indexed exact dedup of (box,
+/// config) pairs.  Replaces the node-based std::set<std::pair<box, Config>>
+/// store: appending is a bump into the flat buffer and dedup probes never
+/// chase per-node allocations.
 class ConfigPool {
  public:
-  ConfigPool(VerticalFillScratch& scratch, std::size_t classes)
-      : scratch_(scratch), classes_(classes) {
-    scratch_.config_storage.clear();
-    scratch_.dedup.clear();
-  }
+  explicit ConfigPool(std::size_t classes) : classes_(classes) {}
 
   [[nodiscard]] std::size_t size() const {
-    return classes_ == 0 ? 0 : scratch_.config_storage.size() / classes_;
+    return classes_ == 0 ? 0 : config_storage_.size() / classes_;
   }
 
   [[nodiscard]] std::span<const int> row(std::size_t id) const {
-    return {scratch_.config_storage.data() + id * classes_, classes_};
+    return {config_storage_.data() + id * classes_, classes_};
   }
 
   /// Appends `config` for `box` unless that exact (box, config) pair exists;
   /// returns the config id and whether it was newly inserted for the box.
   std::pair<std::size_t, bool> intern(std::size_t box, const Config& config) {
     const std::uint64_t h = hash(box, config);
-    auto& bucket = scratch_.dedup[h];
+    auto& bucket = dedup_[h];
     for (const auto& [seen_box, id] : bucket) {
       if (seen_box == box && std::equal(config.begin(), config.end(),
                                         row(id).begin(), row(id).end())) {
@@ -63,8 +62,8 @@ class ConfigPool {
       }
     }
     if (id == size()) {
-      scratch_.config_storage.insert(scratch_.config_storage.end(),
-                                     config.begin(), config.end());
+      config_storage_.insert(config_storage_.end(), config.begin(),
+                             config.end());
     }
     bucket.emplace_back(box, id);
     return {id, true};
@@ -88,8 +87,15 @@ class ConfigPool {
     return h;
   }
 
-  VerticalFillScratch& scratch_;
   std::size_t classes_;
+  /// One row of `classes_` ints per configuration.
+  std::vector<int> config_storage_;
+  /// Content hash -> candidate (box, config id) pairs, verified exactly.
+  // det-lint: allow(unordered-container): probed by key only (dedup_[h] in
+  // intern); never iterated, so its order cannot reach a result.
+  std::unordered_map<std::uint64_t,
+                     std::vector<std::pair<std::size_t, std::size_t>>>
+      dedup_;
 };
 
 /// Enumerates multisets of heights with total <= capacity (including the
@@ -238,9 +244,8 @@ std::vector<double> master_rhs(const std::vector<GapBox>& boxes,
 /// Reference oracle: enumerate-then-solve over the full (capped) column set.
 void run_dense(const Instance& instance, const std::vector<std::size_t>& items,
                const ClassSetup& setup, const std::vector<GapBox>& boxes,
-               const VerticalFillParams& params, VerticalFillScratch& scratch,
-               VerticalFillResult* result) {
-  ConfigPool pool(scratch, setup.heights.size());
+               const VerticalFillParams& params, VerticalFillResult* result) {
+  ConfigPool pool(setup.heights.size());
   // Configuration ids per distinct capacity.
   std::map<Height, std::vector<std::size_t>> configs_by_capacity;
   const std::size_t per_capacity = std::max<std::size_t>(
@@ -309,16 +314,14 @@ void run_column_generation(const Instance& instance,
                            const ClassSetup& setup,
                            const std::vector<GapBox>& boxes,
                            const VerticalFillParams& params,
-                           VerticalFillScratch& scratch,
                            VerticalFillResult* result) {
   const std::size_t nb = boxes.size();
   const std::size_t nh = setup.heights.size();
   lp::ColumnLp master(master_rhs(boxes, setup));
 
-  ConfigPool pool(scratch, nh);
+  ConfigPool pool(nh);
   std::vector<MasterColumn> columns;
-  std::vector<double>& entries = scratch.entries;
-  entries.assign(nb + nh, 0.0);
+  std::vector<double> entries(nb + nh, 0.0);
   const auto add_column = [&](std::size_t b, const Config& config) {
     const auto [id, inserted] = pool.intern(b, config);
     if (!inserted) return false;
@@ -350,17 +353,7 @@ void run_column_generation(const Instance& instance,
     (void)box_list;
     capacities.push_back(capacity);
   }
-  // One pricing scratch per distinct capacity, persisting across rounds
-  // and — via VerticalFillParams::scratch — across bisection attempts.
-  // Sharing one arena across capacities, or adding each capacity's column
-  // before pricing the next, gives the same columns but interleaves the
-  // arena chunks with the master's growth differently, which raised the
-  // serving daemon's peak RSS by about 40% (cold-solve54 workload).
-  if (scratch.pricing.size() < capacities.size()) {
-    scratch.pricing.resize(capacities.size());
-  }
-
-  std::vector<double>& values = scratch.values;
+  std::vector<double> values;
   for (;;) {
     // One span per CG round (resolve + price + add), with the LP resolve
     // nested inside — the trace shows exactly where a round's time went.
@@ -389,8 +382,7 @@ void run_column_generation(const Instance& instance,
     std::vector<PricedConfig> priced;
     priced.reserve(capacities.size());
     for (std::size_t ci = 0; ci < capacities.size(); ++ci) {
-      priced.push_back(price_knapsack(setup.heights, values, capacities[ci],
-                                      scratch.pricing[ci]));
+      priced.push_back(price_knapsack(setup.heights, values, capacities[ci]));
     }
     bool added = false;
     for (std::size_t ci = 0; ci < capacities.size(); ++ci) {
@@ -443,15 +435,11 @@ VerticalFillResult fill_vertical_items(const Instance& instance,
     return result;
   }
 
-  VerticalFillScratch local_scratch;
-  VerticalFillScratch& scratch =
-      params.scratch != nullptr ? *params.scratch : local_scratch;
   const ClassSetup setup = build_classes(instance, items, rounding);
   if (params.engine == ConfigLpEngine::kDenseEnumeration) {
-    run_dense(instance, items, setup, boxes, params, scratch, &result);
+    run_dense(instance, items, setup, boxes, params, &result);
   } else {
-    run_column_generation(instance, items, setup, boxes, params, scratch,
-                          &result);
+    run_column_generation(instance, items, setup, boxes, params, &result);
   }
   if (!result.lp_solved) {
     result.start.assign(items.size(), -1);

@@ -1,23 +1,22 @@
 #include "approx/pricing.hpp"
 
 #include <numeric>
+#include <vector>
 
 namespace dsp::approx {
 
 PricedConfig price_knapsack(std::span<const Height> heights,
-                            std::span<const double> values, Height capacity,
-                            PricingScratch& scratch) {
+                            std::span<const double> values, Height capacity) {
   PricedConfig best;
   best.config.assign(heights.size(), 0);
-  scratch.arena.reset();
 
   // Batch the contributing classes into flat SoA arrays: weight (height /
   // gcd), value and class index, in ascending class order (the
   // determinism-bearing scan order of the DP below).
   const std::size_t nh = heights.size();
-  auto* entry_class = scratch.arena.alloc<std::size_t>(nh);
-  auto* entry_weight = scratch.arena.alloc<std::size_t>(nh);
-  auto* entry_value = scratch.arena.alloc<double>(nh);
+  std::vector<std::size_t> entry_class(nh);
+  std::vector<std::size_t> entry_weight(nh);
+  std::vector<double> entry_value(nh);
   std::size_t entries = 0;
   Height g = 0;
   for (std::size_t c = 0; c < nh; ++c) {
@@ -38,9 +37,10 @@ PricedConfig price_knapsack(std::span<const Height> heights,
     best.exact = false;
   }
 
-  double* dp = scratch.arena.alloc<double>(cells + 1);
-  int* choice = scratch.arena.alloc<int>(cells + 1);
-  for (std::size_t w = 0; w <= cells; ++w) choice[w] = -1;  // inherit w - 1
+  // dp[0] = 0 is read as the empty configuration's value; choice -1 means
+  // "inherit w - 1".
+  std::vector<double> dp(cells + 1, 0.0);
+  std::vector<int> choice(cells + 1, -1);
   for (std::size_t w = 1; w <= cells; ++w) {
     double best_w = dp[w - 1];
     int best_choice = -1;

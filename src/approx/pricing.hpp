@@ -3,7 +3,6 @@
 #include <span>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "core/instance.hpp"
 
 namespace dsp::approx {
@@ -28,14 +27,6 @@ struct PricedConfig {
 /// the clamp is never hit (it guards degenerate huge-capacity inputs).
 inline constexpr std::size_t kPricingDpCellLimit = std::size_t{1} << 18;
 
-/// Reusable pricing buffers: the DP rows and the batched entry arrays live
-/// in one arena that is recycled per call, so a column-generation loop
-/// pricing dozens of rounds (x capacities x bisection attempts) stops
-/// allocating after warm-up.  One scratch per concurrent pricing task.
-struct PricingScratch {
-  Arena arena;
-};
-
 /// Exact pricing oracle: bounded knapsack over the rounded height classes
 /// (counts limited only by capacity, as in the configuration definition).
 /// Deterministic: classes are scanned in ascending index order and only a
@@ -50,7 +41,6 @@ struct PricingScratch {
 /// arithmetic.
 [[nodiscard]] PricedConfig price_knapsack(std::span<const Height> heights,
                                           std::span<const double> values,
-                                          Height capacity,
-                                          PricingScratch& scratch);
+                                          Height capacity);
 
 }  // namespace dsp::approx

@@ -16,15 +16,6 @@ namespace dsp::approx {
 
 namespace {
 
-/// State reused across the attempts of one solve54 call: the demand-profile
-/// backend (reset, not reconstructed, between attempts) and the Lemma-10
-/// fill buffers.  Reuse changes no result: reset() restores the all-zero
-/// profile and the fill scratch is fully re-derived per call (both tested).
-struct AttemptScratch {
-  std::unique_ptr<ProfileBackend> profile;
-  VerticalFillScratch fill;
-};
-
 struct AttemptOutcome {
   Packing packing;
   Height peak = 0;
@@ -98,7 +89,7 @@ std::vector<GapBox> gap_boxes_of_profile(const ProfileBackend& occupancy,
 
 /// One attempt at the height guess h_guess (steps 3-6 of the algorithm).
 AttemptOutcome attempt(const Instance& instance, Height h_guess,
-                       const Approx54Params& params, AttemptScratch& scratch) {
+                       const Approx54Params& params) {
   AttemptOutcome outcome;
   outcome.cls =
       select_parameters(instance, h_guess, params.epsilon, params.ladder_length);
@@ -107,16 +98,9 @@ AttemptOutcome attempt(const Instance& instance, Height h_guess,
   const Height budget =
       ceil_mul(h_guess, Fraction(5, 4) + params.epsilon);
 
-  // kAuto resolves from (width, n) only — both fixed across the bisection —
-  // so the reused backend is always the one a fresh construction would pick.
-  if (scratch.profile == nullptr) {
-    scratch.profile = make_profile_backend(params.backend,
-                                           instance.strip_width(),
-                                           instance.size());
-  } else {
-    scratch.profile->reset();
-  }
-  ProfileBackend& occupancy = *scratch.profile;
+  const std::unique_ptr<ProfileBackend> profile = make_profile_backend(
+      params.backend, instance.strip_width(), instance.size());
+  ProfileBackend& occupancy = *profile;
   Packing packing;
   packing.start.assign(instance.size(), -1);
   const auto place = [&](std::size_t i, Length x) {
@@ -158,7 +142,6 @@ AttemptOutcome attempt(const Instance& instance, Height h_guess,
     VerticalFillParams fill_params;
     fill_params.max_configs = params.max_configs;
     fill_params.max_pricing_rounds = params.max_pricing_rounds;
-    fill_params.scratch = &scratch.fill;
     const VerticalFillResult fill =
         fill_vertical_items(instance, vertical, rounding, gaps, fill_params);
     outcome.lp_used = fill.lp_solved;
@@ -243,14 +226,13 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   Height lo = report.lower_bound;
   Height hi = witness_peak;
   std::optional<AttemptOutcome> best_outcome;
-  AttemptScratch scratch;
   const auto probe = [&](Height guess) {
     ++report.rounds;
     ++report.attempts;
     AttemptOutcome outcome;
     {
       const obs::ScopedSpan span(obs::Phase::kAttempt);
-      outcome = attempt(instance, guess, params, scratch);
+      outcome = attempt(instance, guess, params);
     }
     best_pipeline_peak = std::min(best_pipeline_peak, outcome.peak);
     if (outcome.peak < best_peak) {

@@ -12,10 +12,6 @@ StripOccupancy::StripOccupancy(Length strip_width) {
   load_.assign(static_cast<std::size_t>(strip_width), 0);
 }
 
-void StripOccupancy::reset() {
-  std::fill(load_.begin(), load_.end(), Height{0});
-}
-
 Height StripOccupancy::peak() const {
   // The historical contract: the peak of an all-negative profile is 0.
   return std::max<Height>(0, simd::reduce_max(load_.data(), load_.size()));

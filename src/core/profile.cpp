@@ -26,7 +26,6 @@ class DenseProfileBackend final : public ProfileBackend {
     return occupancy_.loads();
   }
 
-  void reset() override { occupancy_.reset(); }
   void add(Length start, Length width, Height height) override {
     occupancy_.add(start, width, height);
   }
@@ -63,7 +62,6 @@ class SparseProfileBackend final : public ProfileBackend {
     return tree_.range_max(x, x + 1);
   }
 
-  void reset() override { tree_.reset(); }
   void add(Length start, Length width, Height height) override {
     tree_.range_add(start, start + width, height);
   }

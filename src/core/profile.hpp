@@ -49,11 +49,6 @@ class ProfileBackend {
   [[nodiscard]] virtual Height peak() const = 0;
   [[nodiscard]] virtual Height load_at(Length x) const = 0;
 
-  /// Restores the all-zero profile while retaining the internal buffers, so
-  /// a backend can be recycled across solve54 bisection attempts instead of
-  /// being reconstructed (and re-allocated) per probe.
-  virtual void reset() = 0;
-
   /// The flat per-column load array when this backend keeps one (the dense
   /// backend), empty otherwise.  Lets bulk consumers (the shared
   /// sliding-window-maxima pass) run directly over the contiguous storage

@@ -4,8 +4,8 @@
 #include <cstddef>
 #include <limits>
 #include <optional>
+#include <vector>
 
-#include "core/arena.hpp"
 #include "core/instance.hpp"
 #include "util/check.hpp"
 
@@ -30,8 +30,8 @@ namespace dsp {
 /// children only (classical push-down formulation).
 ///
 /// Layout: the four per-node quantities live in one 32-byte node inside one
-/// flat aligned array (children 2i / 2i+1 share a cache line), so a descent
-/// touches one line per level instead of four.  The placement searches run
+/// flat array (children 2i / 2i+1 are adjacent), so a descent touches one
+/// node per level instead of four separate arrays.  The placement searches run
 /// as an explicit-stack loop over that array — no recursion, and the only
 /// branches left are the pruning tests themselves.
 class SegmentTree {
@@ -45,10 +45,6 @@ class SegmentTree {
   }
 
   [[nodiscard]] Length width() const { return width_; }
-
-  /// Restores the all-zero profile, retaining the node array (the
-  /// arena-style reuse path of repeated solve54 bisection attempts).
-  void reset() { std::fill(nodes_.begin(), nodes_.end(), Node{}); }
 
   /// Adds `delta` to every column in [begin, end).
   void range_add(Length begin, Length end, Height delta) {
@@ -137,7 +133,7 @@ class SegmentTree {
   static constexpr Height kNoFloor = std::numeric_limits<Height>::min();
 
   /// One tree node: subtree max/min plus the pending lazy map for the
-  /// children.  32 bytes, so a sibling pair shares one cache line.
+  /// children.  32 bytes, so a sibling pair spans 64 contiguous bytes.
   struct alignas(32) Node {
     Height max = 0;
     Height min = 0;
@@ -280,7 +276,7 @@ class SegmentTree {
 
   Length width_;
   std::size_t size_ = 1;
-  AlignedVec<Node> nodes_;
+  std::vector<Node> nodes_;
 };
 
 }  // namespace dsp

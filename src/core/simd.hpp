@@ -8,7 +8,7 @@
 namespace dsp::simd {
 
 /// Vectorized integer kernels behind the dense hot paths (StripOccupancy
-/// scans, sliding-window maxima, profile resets).  Every kernel has a scalar
+/// scans, sliding-window maxima).  Every kernel has a scalar
 /// implementation and an AVX2 one; both are compiled (the AVX2 translation
 /// unit with -mavx2, everything else without) and dispatch happens at
 /// runtime per call.  All kernels are exact integer operations, so the two

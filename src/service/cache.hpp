@@ -68,8 +68,9 @@ struct ServeParams {
   /// names it; goes with the next change to that benchmark.
   bool stealing = true;
   /// Result-affecting solve54 parameters (engine == kSolve54 only):
-  /// epsilon, ladder, LP engine and caps are fingerprinted; the two ignored
-  /// stub fields and `backend` (overridden by the one above) are not.
+  /// epsilon, ladder length, the two LP safety valves and the gap-box cap
+  /// are fingerprinted; `backend` (overridden by the one above) and the
+  /// ignored `stealing` / `tuner` fields are not.
   approx::Approx54Params approx;
   /// Debug escape hatch: compute every request (no lookups, no inserts).
   /// Responses must stay bit-identical — the bypass only skips the cache.

@@ -26,6 +26,23 @@ std::optional<long long> parse_integer(std::string_view text) {
   return value;
 }
 
+std::optional<ServeEngine> parse_engine(std::string_view text) {
+  for (const ServeEngine engine :
+       {ServeEngine::kPortfolio, ServeEngine::kSolve54}) {
+    if (text == to_string(engine)) return engine;
+  }
+  return std::nullopt;
+}
+
+std::optional<ProfileBackendKind> parse_backend(std::string_view text) {
+  for (const ProfileBackendKind kind :
+       {ProfileBackendKind::kAuto, ProfileBackendKind::kDense,
+        ProfileBackendKind::kSparse}) {
+    if (text == to_string(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
 std::vector<std::string> expand_instance_paths(
     const std::vector<std::string>& paths) {
   std::vector<std::string> files;

@@ -26,6 +26,15 @@ namespace dsp::service {
 /// not silently served as 4.
 [[nodiscard]] std::optional<long long> parse_integer(std::string_view text);
 
+/// The --engine value ("portfolio" / "solve54"), or nullopt when the text
+/// names no engine.
+[[nodiscard]] std::optional<ServeEngine> parse_engine(std::string_view text);
+
+/// The --backend value ("auto" / "dense" / "sparse"), or nullopt when the
+/// text names no backend.
+[[nodiscard]] std::optional<ProfileBackendKind> parse_backend(
+    std::string_view text);
+
 /// Expands files and directories into the served file list.  Directories
 /// contribute their *.json / *.dspi entries in sorted order, so runs are
 /// reproducible regardless of readdir order.  Throws InvalidInput naming

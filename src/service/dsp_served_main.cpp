@@ -131,24 +131,14 @@ void print_usage(std::ostream& os) {
       options.daemon.port = parse_port(arg, next_value(i, arg));
     } else if (arg == "--engine") {
       const std::string value = next_value(i, arg);
-      if (value == "portfolio") {
-        options.daemon.serve.engine = service::ServeEngine::kPortfolio;
-      } else if (value == "solve54") {
-        options.daemon.serve.engine = service::ServeEngine::kSolve54;
-      } else {
-        usage_error("unknown engine " + value);
-      }
+      const auto engine = service::parse_engine(value);
+      if (!engine) usage_error("unknown engine " + value);
+      options.daemon.serve.engine = *engine;
     } else if (arg == "--backend") {
       const std::string value = next_value(i, arg);
-      if (value == "auto") {
-        options.daemon.serve.backend = ProfileBackendKind::kAuto;
-      } else if (value == "dense") {
-        options.daemon.serve.backend = ProfileBackendKind::kDense;
-      } else if (value == "sparse") {
-        options.daemon.serve.backend = ProfileBackendKind::kSparse;
-      } else {
-        usage_error("unknown backend " + value);
-      }
+      const auto backend = service::parse_backend(value);
+      if (!backend) usage_error("unknown backend " + value);
+      options.daemon.serve.backend = *backend;
     } else if (arg == "--cache-mb") {
       options.cache_mb = parse_count(arg, next_value(i, arg));
       if (options.cache_mb == 0) {

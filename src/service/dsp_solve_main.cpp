@@ -102,24 +102,14 @@ void print_usage(std::ostream& os) {
       std::exit(0);
     } else if (arg == "--engine") {
       const std::string value = next_value(i, arg);
-      if (value == "portfolio") {
-        options.serve.engine = service::ServeEngine::kPortfolio;
-      } else if (value == "solve54") {
-        options.serve.engine = service::ServeEngine::kSolve54;
-      } else {
-        usage_error("unknown engine " + value);
-      }
+      const auto engine = service::parse_engine(value);
+      if (!engine) usage_error("unknown engine " + value);
+      options.serve.engine = *engine;
     } else if (arg == "--backend") {
       const std::string value = next_value(i, arg);
-      if (value == "auto") {
-        options.serve.backend = ProfileBackendKind::kAuto;
-      } else if (value == "dense") {
-        options.serve.backend = ProfileBackendKind::kDense;
-      } else if (value == "sparse") {
-        options.serve.backend = ProfileBackendKind::kSparse;
-      } else {
-        usage_error("unknown backend " + value);
-      }
+      const auto backend = service::parse_backend(value);
+      if (!backend) usage_error("unknown backend " + value);
+      options.serve.backend = *backend;
     } else if (arg == "--threads") {
       options.serve.threads = parse_count(arg, next_value(i, arg));
     } else if (arg == "--cache-mb") {

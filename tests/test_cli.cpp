@@ -1,13 +1,15 @@
 // The serving executables' command lines, driven as a user drives them:
 // dsp_solve keeps --threads (its batch fan-out uses it), while the daemon,
 // which solves each request on its connection's thread, does not take it;
-// --steal and the retired probe and pricing widths are unknown to both.
+// --steal and the retired probe and pricing widths are unknown to both, and
+// an unknown --engine or --backend value is a usage error in both.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -148,5 +150,42 @@ TEST(DspSolveCli, ThreadsRejectsTrailingGarbage) {
             std::string::npos)
       << result.output;
 }
+
+struct BadFlagValue {
+  const char* binary;  ///< "dsp_solve" or "dsp_served"
+  const char* flag;    ///< "--engine" or "--backend"
+};
+
+/// Names the case in test listings: "dsp_solve" + "--engine" prints as
+/// "dsp_solve_engine".
+void PrintTo(const BadFlagValue& value, std::ostream* os) {
+  *os << value.binary << "_" << (value.flag + 2);
+}
+
+class UnknownEngineOrBackend
+    : public ::testing::TestWithParam<BadFlagValue> {};
+
+TEST_P(UnknownEngineOrBackend, IsAUsageError) {
+  const BadFlagValue& param = GetParam();
+  const std::string name = param.binary;
+  const std::string binary = name == "dsp_solve" ? kSolve : kServed;
+  const std::string kind =
+      std::string(param.flag) == "--engine" ? "engine" : "backend";
+  const RunResult result =
+      run(binary + " " + param.flag + " bogus examples/instances 2>&1");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_EQ(result.output.rfind(name + ": unknown " + kind + " bogus\n", 0),
+            0u)
+      << result.output;
+  EXPECT_NE(result.output.find("usage: " + name), std::string::npos)
+      << result.output;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cli, UnknownEngineOrBackend,
+    ::testing::Values(BadFlagValue{"dsp_solve", "--engine"},
+                      BadFlagValue{"dsp_solve", "--backend"},
+                      BadFlagValue{"dsp_served", "--engine"},
+                      BadFlagValue{"dsp_served", "--backend"}));
 
 }  // namespace

@@ -28,13 +28,11 @@ Scenario random_scenario(Rng& rng, int max_classes = 5) {
 
 VerticalFillResult run_engine(const Scenario& scenario, ConfigLpEngine engine,
                               std::size_t max_configs = 4096,
-                              std::size_t max_rounds = 64,
-                              VerticalFillScratch* scratch = nullptr) {
+                              std::size_t max_rounds = 64) {
   VerticalFillParams params;
   params.engine = engine;
   params.max_configs = max_configs;
   params.max_pricing_rounds = max_rounds;
-  params.scratch = scratch;
   return fill_vertical_items(scenario.instance, scenario.indices,
                              scenario.rounding, scenario.boxes, params);
 }
@@ -94,31 +92,6 @@ TEST(ConfigLpEngines, ColumnGenerationMatchesDenseOnRandomScenarios) {
       check_partition(scenario, cg);
     }
     if (dense.lp_solved) check_partition(scenario, dense);
-  }
-}
-
-TEST(ConfigLpEngines, SharedScratchIsBitIdenticalToCallLocal) {
-  // One scratch carried across scenarios of different class counts (as a
-  // solve54 bisection carries one across its attempts) must give exactly
-  // the call-local result: every call re-derives the scratch contents.
-  Rng rng(202);
-  for (const ConfigLpEngine engine : {ConfigLpEngine::kDenseEnumeration,
-                                      ConfigLpEngine::kColumnGeneration}) {
-    VerticalFillScratch scratch;
-    for (int round = 0; round < 12; ++round) {
-      const Scenario scenario = random_scenario(rng);
-      const VerticalFillResult local = run_engine(scenario, engine);
-      const VerticalFillResult shared =
-          run_engine(scenario, engine, 4096, 64, &scratch);
-      EXPECT_EQ(shared.start, local.start) << "round " << round;
-      EXPECT_EQ(shared.overflow, local.overflow) << "round " << round;
-      EXPECT_EQ(shared.configurations, local.configurations);
-      EXPECT_EQ(shared.nonzero_configs, local.nonzero_configs);
-      EXPECT_EQ(shared.pricing_rounds, local.pricing_rounds);
-      EXPECT_EQ(shared.lp_solved, local.lp_solved);
-      EXPECT_EQ(shared.capped, local.capped);
-      EXPECT_EQ(shared.lp_objective, local.lp_objective);
-    }
   }
 }
 
@@ -204,6 +177,125 @@ TEST(ConfigLpEngines, SafetyValveSetsCappedInsteadOfLooping) {
   // the valve must report it rather than silently continuing.
   EXPECT_TRUE(one_round.capped);
   EXPECT_EQ(one_round.pricing_rounds, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The pricing oracle on its own.
+// ---------------------------------------------------------------------------
+
+/// Total height and value of a configuration.
+std::pair<Height, double> config_load(const std::vector<Height>& heights,
+                                      const std::vector<double>& values,
+                                      const Config& config) {
+  Height used = 0;
+  double value = 0.0;
+  for (std::size_t c = 0; c < heights.size(); ++c) {
+    used += static_cast<Height>(config[c]) * heights[c];
+    value += config[c] * values[c];
+  }
+  return {used, value};
+}
+
+/// Every configuration with total height <= capacity, by enumeration.
+std::vector<Config> all_configs(const std::vector<Height>& heights,
+                                Height capacity) {
+  std::vector<Config> out;
+  Config current(heights.size(), 0);
+  auto dfs = [&](auto&& self, std::size_t c, Height remaining) -> void {
+    if (c == heights.size()) {
+      out.push_back(current);
+      return;
+    }
+    for (int k = 0; static_cast<Height>(k) * heights[c] <= remaining; ++k) {
+      current[c] = k;
+      self(self, c + 1, remaining - static_cast<Height>(k) * heights[c]);
+    }
+    current[c] = 0;
+  };
+  dfs(dfs, 0, capacity);
+  return out;
+}
+
+TEST(Pricing, MatchesBruteForceKnapsack) {
+  Rng rng(20260810);
+  std::size_t unique_optima = 0;
+  std::size_t duplicated = 0;
+  for (int round = 0; round < 300; ++round) {
+    const auto classes = static_cast<std::size_t>(rng.uniform(1, 4));
+    std::vector<Height> heights;
+    std::vector<double> values;
+    for (std::size_t c = 0; c < classes; ++c) {
+      heights.push_back(static_cast<Height>(rng.uniform(1, 12)));
+      // Some classes are worthless (never priced in), most are not.
+      values.push_back(rng.uniform(0, 4) == 0
+                           ? 0.0
+                           : static_cast<double>(rng.uniform(1, 500)) / 100.0);
+    }
+    // Every other round repeats an earlier class verbatim after it: the
+    // tie-break must then give the repeat nothing.
+    std::size_t repeat_of = classes;
+    if (round % 2 == 0) {
+      repeat_of = static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::int64_t>(classes) - 1));
+      heights.push_back(heights[repeat_of]);
+      values.push_back(values[repeat_of]);
+    }
+    const auto capacity = static_cast<Height>(rng.uniform(1, 40));
+
+    const PricedConfig priced = price_knapsack(heights, values, capacity);
+    ASSERT_TRUE(priced.exact);
+    ASSERT_EQ(priced.config.size(), heights.size());
+    const auto [used, value] = config_load(heights, values, priced.config);
+    EXPECT_LE(used, capacity) << "round " << round;
+    EXPECT_NEAR(value, priced.value, 1e-9) << "round " << round;
+
+    double best = 0.0;
+    std::vector<Config> optima;
+    for (const Config& config : all_configs(heights, capacity)) {
+      const double v = config_load(heights, values, config).second;
+      if (v > best + 1e-9) {
+        best = v;
+        optima.clear();
+      }
+      if (v > best - 1e-9) optima.push_back(config);
+    }
+    EXPECT_NEAR(priced.value, best, 1e-9) << "round " << round;
+    if (optima.size() == 1) {
+      ++unique_optima;
+      EXPECT_EQ(priced.config, optima.front()) << "round " << round;
+    }
+    if (repeat_of < classes) {
+      ++duplicated;
+      EXPECT_EQ(priced.config.back(), 0)
+          << "round " << round << ": the repeat of class " << repeat_of
+          << " was chosen over the original";
+    }
+  }
+  // Both branches above actually ran.
+  EXPECT_GT(unique_optima, 50u);
+  EXPECT_EQ(duplicated, 150u);
+}
+
+TEST(Pricing, ClampedCapacityIsFlaggedAndFeasible) {
+  const std::vector<Height> heights = {7, 3, 5};
+  const std::vector<double> values = {7.5, 3.0, 5.25};
+  // capacity / gcd is far above the DP's cell limit.
+  const auto capacity = static_cast<Height>(kPricingDpCellLimit) * 4;
+  const PricedConfig priced = price_knapsack(heights, values, capacity);
+  EXPECT_FALSE(priced.exact);
+  const auto [used, value] = config_load(heights, values, priced.config);
+  EXPECT_LE(used, capacity);
+  EXPECT_GT(used, 0);
+  EXPECT_NEAR(value, priced.value, 1e-6 * priced.value);
+
+  // Exactly at the limit after the gcd normalization: not clamped.
+  const std::vector<Height> even = {4, 2};
+  const std::vector<double> even_values = {4.5, 2.0};
+  const PricedConfig at_limit = price_knapsack(
+      even, even_values, static_cast<Height>(kPricingDpCellLimit) * 2);
+  EXPECT_TRUE(at_limit.exact);
+  EXPECT_EQ(at_limit.config,
+            (Config{static_cast<int>(kPricingDpCellLimit / 2), 0}));
 }
 
 TEST(Solve54Engines, ColumnGenerationProducesFeasiblePackings) {

@@ -3,9 +3,7 @@
 #include <deque>
 #include <vector>
 
-#include "approx/pricing.hpp"
 #include "approx/solve54.hpp"
-#include "core/occupancy.hpp"
 #include "core/profile.hpp"
 #include "core/simd.hpp"
 #include "core/window_maxima.hpp"
@@ -161,60 +159,6 @@ TEST(WindowMaxima, ScalarAndSimdAgree) {
                                            scalar_span.end());
       EXPECT_EQ(simd_out, scalar_out) << "n=" << n << " w=" << width;
     }
-  }
-}
-
-TEST(StripOccupancy, ResetMatchesFreshInstance) {
-  StripOccupancy used(64);
-  used.add(3, 10, 7);
-  used.raise_to(20, 8, 12);
-  used.reset();
-  const StripOccupancy fresh(64);
-  EXPECT_EQ(used.peak(), fresh.peak());
-  for (Length x = 0; x < 64; ++x) {
-    ASSERT_EQ(used.load_at(x), fresh.load_at(x)) << "x=" << x;
-  }
-  // And the reset profile behaves like new for the searches.
-  used.add(0, 4, 5);
-  EXPECT_EQ(used.first_fit(4, 1, 3), std::optional<Length>(4));
-  EXPECT_EQ(used.min_peak_position(4).start, 4);
-}
-
-TEST(ProfileBackends, ResetMatchesFreshInstance) {
-  for (const ProfileBackendKind kind :
-       {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
-    const auto used = make_profile_backend(kind, 48);
-    used->add(1, 9, 4);
-    used->raise_to(30, 10, 9);
-    used->reset();
-    const auto fresh = make_profile_backend(kind, 48);
-    EXPECT_EQ(used->peak(), fresh->peak());
-    for (Length x = 0; x < 48; ++x) {
-      ASSERT_EQ(used->load_at(x), fresh->load_at(x))
-          << used->name() << " x=" << x;
-    }
-  }
-}
-
-TEST(Pricing, ScratchReuseIsEquivalent) {
-  using approx::PricedConfig;
-  using approx::PricingScratch;
-  using approx::price_knapsack;
-  const std::vector<Height> heights = {9, 7, 4, 3, 1};
-  Rng rng(20260809);
-  PricingScratch reused;
-  for (int round = 0; round < 20; ++round) {
-    std::vector<double> values(heights.size());
-    for (double& v : values) {
-      v = static_cast<double>(rng.uniform(0, 1000)) / 100.0;
-    }
-    const auto capacity = static_cast<Height>(rng.uniform(1, 64));
-    PricingScratch fresh;
-    const PricedConfig a = price_knapsack(heights, values, capacity, reused);
-    const PricedConfig b = price_knapsack(heights, values, capacity, fresh);
-    EXPECT_EQ(a.value, b.value);
-    EXPECT_EQ(a.config, b.config);
-    EXPECT_EQ(a.exact, b.exact);
   }
 }
 
