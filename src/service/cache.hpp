@@ -1,6 +1,6 @@
 #pragma once
 
-// The sharded single-flight solve cache and the CachingSolver front door
+// The single-flight solve cache and the CachingSolver front door
 // (DESIGN.md, "The serving layer").
 //
 // Serving workloads are dominated by repeats and near-repeats of the same
@@ -9,14 +9,15 @@
 // semantically identical requests — any item order, any ids/labels — hit
 // the same entry:
 //
-//  * sharded — N independently mutex-guarded LRU maps; a key's shard is a
-//    hash of the key, so concurrent lookups for different keys almost never
-//    contend on a lock.
+//  * one lock — a single mutex guards the LRU list, the resident map and
+//    the in-flight map.  Lookups run inside the admission slot, so only a
+//    handful can contend, and the locked part of a hit is one hash lookup
+//    and one list splice.
 //  * single-flight — concurrent misses for the same key block on the one
 //    in-flight computation instead of duplicating it; joiners see the same
 //    shared result (or the same exception) the computing thread produced.
 //  * LRU by bytes — entries are charged by packing size and evicted from
-//    the cold end once the shard's share of `capacity_bytes` overflows.
+//    the cold end once `capacity_bytes` overflows.
 //
 // Determinism: CachingSolver always solves the *canonical form* and maps
 // starts back through the request's permutation, so its answer is a pure
@@ -90,7 +91,7 @@ struct CacheKey {
 };
 
 // ---------------------------------------------------------------------------
-// The sharded single-flight LRU.
+// The single-flight LRU.
 // ---------------------------------------------------------------------------
 
 /// A cached answer, always in canonical item order (the cache never sees a
@@ -102,17 +103,14 @@ struct CachedSolve {
 };
 
 struct CacheOptions {
-  /// Total value-byte budget across all shards (the sum of per-entry packing
-  /// and winner payloads).  Must be positive: a zero-byte cache would
-  /// silently reject every insert, so the constructor throws InvalidInput
-  /// and points at ServeParams::bypass_cache instead.  An entry larger than
-  /// its shard's share is never inserted (counted as CacheStats::oversized);
-  /// resident entries are untouched by such a request.
+  /// Value-byte budget (the sum of per-entry packing and winner payloads
+  /// plus a fixed per-entry charge).  Must be positive: a zero-byte cache
+  /// would silently reject every insert, so the constructor throws
+  /// InvalidInput and points at ServeParams::bypass_cache instead.  An
+  /// entry larger than the whole budget is never inserted (counted as
+  /// CacheStats::oversized); resident entries are untouched by such a
+  /// request.
   std::size_t capacity_bytes = 64ull << 20;
-  /// Lock shards; clamped to >= 1, and clamped *down* when the budget is
-  /// too small to give every shard a useful share (see kMinShardBytes) —
-  /// a tiny budget degrades to fewer shards, never to zero-byte shards.
-  std::size_t shards = 8;
 };
 
 /// How a lookup was satisfied.
@@ -127,7 +125,7 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t inflight_joins = 0;
   std::uint64_t evictions = 0;
-  /// Values larger than their shard's whole budget: never inserted (and
+  /// Values larger than the whole budget: never inserted (and
   /// never allowed to evict resident entries on the way out).
   std::uint64_t oversized = 0;
   std::uint64_t entries = 0;  ///< currently resident
@@ -145,7 +143,7 @@ struct CacheEntryView {
 
 class SolveCache {
  public:
-  /// Called after every get_or_compute insert, outside the shard lock —
+  /// Called after every get_or_compute insert, outside the cache lock —
   /// the persistence layer's append hook.  Warm-load inserts (insert())
   /// are deliberately NOT observed, or log replay would re-append itself.
   using InsertObserver =
@@ -179,9 +177,9 @@ class SolveCache {
   /// not inserted, exactly like the get_or_compute path.
   void insert(const CacheKey& key, CachedSolve value);
 
-  /// Every resident entry, shard by shard, cold-to-warm inside each shard —
-  /// re-`insert`ing the result in order reproduces each shard's recency
-  /// order.  A consistent snapshot only when no writer is concurrent.
+  /// Every resident entry, cold to warm, read under the lock as one
+  /// point-in-time snapshot — re-`insert`ing the result in order
+  /// reproduces the cache's recency order.
   [[nodiscard]] std::vector<CacheEntryView> export_entries() const;
 
   /// Installs the persistence append hook.  Must be installed before the
@@ -189,26 +187,15 @@ class SolveCache {
   /// serving): the observer slot itself is unsynchronized.
   void set_insert_observer(InsertObserver observer);
 
-  /// Aggregated over shards (each shard's counters are read under its own
-  /// lock; the sum is a consistent snapshot only when idle).
+  /// Counters and occupancy, read under the lock as one point-in-time
+  /// snapshot (consistent even while serving).
   [[nodiscard]] CacheStats stats() const;
-  [[nodiscard]] std::size_t capacity_bytes() const { return capacity_bytes_; }
-  /// Actual shard count: the requested one, clamped so every shard's share
-  /// of the budget stays useful (small budgets collapse to fewer shards).
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// Per-shard byte budgets.  Invariant: they sum to capacity_bytes() —
-  /// the capacity_bytes % shard_count remainder is distributed, not dropped.
-  [[nodiscard]] std::vector<std::size_t> shard_capacities() const;
-  /// Drops every resident entry (in-flight computations are unaffected).
-  void clear();
+  [[nodiscard]] std::size_t capacity_bytes() const;
 
  private:
-  struct Shard;
+  struct State;
 
-  [[nodiscard]] Shard& shard_for(const CacheKey& key) const;
-
-  std::size_t capacity_bytes_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::unique_ptr<State> state_;
   InsertObserver insert_observer_;
 };
 

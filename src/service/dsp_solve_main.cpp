@@ -201,8 +201,7 @@ int main(int argc, char** argv) {
       file_lower_bounds.push_back(combined_lower_bound(file_instances.back()));
     }
     service::CachingSolver solver(
-        options.serve,
-        service::CacheOptions{options.cache_mb << 20, /*shards=*/8});
+        options.serve, service::CacheOptions{options.cache_mb << 20});
 
     // One solve_many per pass (not one flat repeat x files batch): the
     // per-pass phase-histogram deltas are what turns --repeat into a

@@ -277,7 +277,7 @@ TEST(CliHelpersTest, ReadServedViewNamesTheSampleItLacks) {
 // ---------------------------------------------------------------------------
 
 TEST(PersistTest, SaveLoadRoundTripsEntriesBitExactly) {
-  SolveCache cache(CacheOptions{1 << 20, 1});
+  SolveCache cache(CacheOptions{1 << 20});
   (void)cache.get_or_compute(key_of(1), []() { return solve_of(7, "steinberg"); });
   (void)cache.get_or_compute(key_of(2), []() { return solve_of(9, "nfdh"); });
 
@@ -298,7 +298,7 @@ TEST(PersistTest, SaveLoadRoundTripsEntriesBitExactly) {
 }
 
 TEST(PersistTest, KindAndVersionAreValidated) {
-  SolveCache cache(CacheOptions{1 << 20, 1});
+  SolveCache cache(CacheOptions{1 << 20});
   (void)cache.get_or_compute(key_of(1), []() { return solve_of(7); });
   std::stringstream stream;
   save_entries(stream, PersistKind::kLog, cache.export_entries());
@@ -311,7 +311,7 @@ TEST(PersistTest, KindAndVersionAreValidated) {
 }
 
 TEST(PersistTest, TornLogTailIsRecoveredTornSnapshotThrows) {
-  SolveCache cache(CacheOptions{1 << 20, 1});
+  SolveCache cache(CacheOptions{1 << 20});
   (void)cache.get_or_compute(key_of(1), []() { return solve_of(7); });
   (void)cache.get_or_compute(key_of(2), []() { return solve_of(9); });
   std::stringstream stream;
@@ -334,7 +334,7 @@ TEST(PersistTest, TornLogTailIsRecoveredTornSnapshotThrows) {
 
 TEST(PersistTest, StoreWarmLoadEqualsLiveCacheAcrossRestart) {
   StateDir dir("store");
-  const CacheOptions cache_options{1 << 20, 2};
+  const CacheOptions cache_options{1 << 20};
   {
     SolveCache cache(cache_options);
     PersistentStore store(dir.path(), /*snapshot_every=*/3);
@@ -371,10 +371,47 @@ TEST(PersistTest, StoreWarmLoadEqualsLiveCacheAcrossRestart) {
   }
 }
 
+TEST(PersistTest, CompactedSnapshotReproducesTheGlobalRecencyOrder) {
+  // Compact a cache that has overflowed its budget, warm-load the snapshot
+  // into a fresh cache: the cache-wide recency order comes back, so under
+  // the same later pressure the same keys survive in both.
+  StateDir dir("recency");
+  constexpr std::size_t kBudget = 48 << 10;
+  const auto fill = [](SolveCache& cache, std::uint64_t k) {
+    (void)cache.get_or_compute(key_of(k), [k]() {
+      return solve_of(static_cast<Height>(k),
+                      std::string("w").append(std::to_string(k)));
+    });
+  };
+  const auto keys = [](const SolveCache& cache) {
+    std::vector<CacheKey> out;
+    for (const CacheEntryView& entry : cache.export_entries()) {
+      out.push_back(entry.key);
+    }
+    return out;
+  };
+  SolveCache source(CacheOptions{kBudget});
+  for (std::uint64_t k = 1; k <= 400; ++k) fill(source, k);
+  // Hits reshuffle the warm end away from insertion order.
+  for (std::uint64_t k = 400; k >= 300; k -= 7) fill(source, k);
+  ASSERT_GT(source.stats().evictions, 0u);
+  PersistentStore(dir.path()).compact(source);
+
+  SolveCache restored(CacheOptions{kBudget});
+  PersistentStore store(dir.path());
+  EXPECT_EQ(store.warm_load(restored), source.stats().entries);
+  EXPECT_EQ(keys(restored), keys(source));
+  for (std::uint64_t k = 1000; k < 1100; ++k) {
+    fill(source, k);
+    fill(restored, k);
+  }
+  EXPECT_EQ(keys(restored), keys(source));
+}
+
 TEST(PersistTest, CrashTornLogTailIsDroppedOnWarmLoad) {
   StateDir dir("torn");
   {
-    SolveCache cache(CacheOptions{1 << 20, 1});
+    SolveCache cache(CacheOptions{1 << 20});
     PersistentStore store(dir.path(), /*snapshot_every=*/100);
     (void)store.warm_load(cache);
     cache.set_insert_observer(
@@ -391,13 +428,13 @@ TEST(PersistTest, CrashTornLogTailIsDroppedOnWarmLoad) {
   const auto size = std::filesystem::file_size(log_path);
   std::filesystem::resize_file(log_path, size - 3);
 
-  SolveCache cache(CacheOptions{1 << 20, 1});
+  SolveCache cache(CacheOptions{1 << 20});
   PersistentStore store(dir.path(), 100);
   EXPECT_EQ(store.warm_load(cache), 1u);  // the complete entry survives
   EXPECT_TRUE(store.recovered_truncated_log());
   EXPECT_EQ(cache.stats().entries, 1u);
   // Recovery re-compacted: the next warm load is clean.
-  SolveCache again(CacheOptions{1 << 20, 1});
+  SolveCache again(CacheOptions{1 << 20});
   PersistentStore clean(dir.path(), 100);
   EXPECT_EQ(clean.warm_load(again), 1u);
   EXPECT_FALSE(clean.recovered_truncated_log());

@@ -491,7 +491,7 @@ TEST(SchedulerTotals, OccupancyGaugeTracksRunningItems) {
 TEST(ServingScheduler, CachingSolverExportsSchedulerCounters) {
   service::ServeParams params;
   params.engine = service::ServeEngine::kSolve54;
-  service::CachingSolver solver(params, service::CacheOptions{1 << 20, 1});
+  service::CachingSolver solver(params, service::CacheOptions{1 << 20});
   Rng rng(913);
   const Instance inst = gen::random_uniform(24, 120, 40, 16, rng);
   (void)solver.solve(inst);
@@ -542,8 +542,8 @@ TEST(ServingScheduler, StealingFieldIsIgnored) {
   on.threads = 4;
   service::ServeParams off = on;
   off.stealing = false;
-  service::CachingSolver on_solver(on, service::CacheOptions{1 << 20, 1});
-  service::CachingSolver off_solver(off, service::CacheOptions{1 << 20, 1});
+  service::CachingSolver on_solver(on, service::CacheOptions{1 << 20});
+  service::CachingSolver off_solver(off, service::CacheOptions{1 << 20});
   const std::vector<service::SolveResponse> a = on_solver.solve_many(batch);
   const std::vector<service::SolveResponse> b = off_solver.solve_many(batch);
   ASSERT_EQ(a.size(), b.size());

@@ -1,7 +1,8 @@
-// The sharded single-flight solve cache and the CachingSolver: exactly-once
-// computation under concurrent identical requests, bit-identical hits, LRU
-// eviction at capacity, fingerprint separation, and the cached == uncached
-// determinism contract across thread counts and profile backends.
+// The single-flight solve cache and the CachingSolver: exactly-once
+// computation under concurrent identical requests, bit-identical hits, one
+// global LRU order over the whole byte budget, stats snapshots that stay
+// consistent while serving, fingerprint separation, and the cached ==
+// uncached determinism contract across thread counts and profile backends.
 
 #include <gtest/gtest.h>
 
@@ -161,9 +162,9 @@ TEST(SolveCacheTest, ComputeErrorsPropagateToJoinersAndAreNotCached) {
 }
 
 TEST(SolveCacheTest, LruEvictsColdEntriesAtCapacity) {
-  // One shard, tiny byte budget: each entry charges 128 overhead plus
-  // payload, so the budget below holds ~4 entries.
-  SolveCache cache(CacheOptions{4 * 200, 1});
+  // Tiny byte budget: each entry charges 128 overhead plus payload, so the
+  // budget below holds ~4 entries.
+  SolveCache cache(CacheOptions{4 * 200});
   const auto fill = [&cache](std::uint64_t k) {
     return cache.get_or_compute(key_of(k), [k]() {
       return small_solve(static_cast<Height>(k));
@@ -181,8 +182,8 @@ TEST(SolveCacheTest, LruEvictsColdEntriesAtCapacity) {
 }
 
 TEST(SolveCacheTest, LruRecencyIsUpdatedByHits) {
-  // Budget for ~2 entries, one shard.
-  SolveCache cache(CacheOptions{2 * 200, 1});
+  // Budget for ~2 entries.
+  SolveCache cache(CacheOptions{2 * 200});
   const auto fill = [&cache](std::uint64_t k) {
     return cache.get_or_compute(key_of(k), [k]() {
       return small_solve(static_cast<Height>(k));
@@ -196,24 +197,11 @@ TEST(SolveCacheTest, LruRecencyIsUpdatedByHits) {
   EXPECT_EQ(fill(2).outcome, CacheOutcome::kMiss);
 }
 
-TEST(SolveCacheTest, ClearDropsEntriesButKeepsCounters) {
-  SolveCache cache;
-  (void)cache.get_or_compute(key_of(1), []() { return small_solve(1); });
-  cache.clear();
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(
-      cache.get_or_compute(key_of(1), []() { return small_solve(1); }).outcome,
-      CacheOutcome::kMiss);
-}
-
 TEST(SolveCacheTest, OversizedEntryDoesNotFlushWarmEntries) {
-  // Regression: an entry larger than the whole shard budget used to evict
+  // Regression: an entry larger than the whole budget used to evict
   // every resident entry before discovering it could not fit itself —
   // one pathological request flushed the warm cache.
-  SolveCache cache(CacheOptions{4 * 200, 1});
+  SolveCache cache(CacheOptions{4 * 200});
   const auto fill = [&cache](std::uint64_t k) {
     return cache.get_or_compute(key_of(k), [k]() {
       return small_solve(static_cast<Height>(k));
@@ -227,7 +215,7 @@ TEST(SolveCacheTest, OversizedEntryDoesNotFlushWarmEntries) {
   CachedSolve big;
   big.packing.start = {0};
   big.peak = 99;
-  big.winner = std::string(2000, 'w');  // > the 800-byte shard budget
+  big.winner = std::string(2000, 'w');  // > the 800-byte budget
   const auto lookup = cache.get_or_compute(key_of(99), [&big]() { return big; });
   // The answer is still served (and counted as a miss)...
   EXPECT_EQ(lookup.outcome, CacheOutcome::kMiss);
@@ -250,41 +238,15 @@ TEST(SolveCacheTest, OversizedEntryDoesNotFlushWarmEntries) {
 }
 
 TEST(SolveCacheTest, ZeroCapacityBudgetIsRejectedLoudly) {
-  // Regression: capacity 0 (or a tiny budget integer-divided across many
-  // shards) used to build zero-byte shards that silently dropped every
-  // insert — a 0% hit rate with no diagnostic.
-  const CacheOptions zero_budget{0, 8};
+  // Regression: a zero-byte budget used to build a cache that silently
+  // dropped every insert — a 0% hit rate with no diagnostic.
+  const CacheOptions zero_budget{0};
   EXPECT_THROW(SolveCache cache(zero_budget), InvalidInput);
   EXPECT_THROW(CachingSolver solver(ServeParams{}, zero_budget), InvalidInput);
 }
 
-TEST(SolveCacheTest, TinyBudgetCollapsesShardsAndStillCaches) {
-  // 1 KiB over 8 requested shards used to mean 8 shards of 128 B — none
-  // able to hold a real entry.  The shard count now collapses instead.
-  SolveCache cache(CacheOptions{1024, 8});
-  EXPECT_EQ(cache.shard_count(), 1u);
-  (void)cache.get_or_compute(key_of(1), []() { return small_solve(1); });
-  EXPECT_EQ(
-      cache.get_or_compute(key_of(1), []() { return small_solve(1); }).outcome,
-      CacheOutcome::kHit);
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
-
-TEST(SolveCacheTest, ShardCapacitiesSumToTheBudget) {
-  // The capacity % shards remainder is distributed, not dropped.
-  const std::size_t budget = (32 << 10) + 5;
-  SolveCache cache(CacheOptions{budget, 3});
-  const std::vector<std::size_t> capacities = cache.shard_capacities();
-  ASSERT_EQ(capacities.size(), 3u);
-  std::size_t sum = 0;
-  for (const std::size_t capacity : capacities) sum += capacity;
-  EXPECT_EQ(sum, budget);
-  const auto [lo, hi] = std::minmax_element(capacities.begin(), capacities.end());
-  EXPECT_LE(*hi - *lo, 1u);
-}
-
 TEST(SolveCacheTest, WarmInsertSkipsCountersAndObserver) {
-  SolveCache cache(CacheOptions{64 << 10, 2});
+  SolveCache cache(CacheOptions{64 << 10});
   int notified = 0;
   cache.set_insert_observer(
       [&notified](const CacheKey&, const std::shared_ptr<const CachedSolve>&) {
@@ -305,7 +267,7 @@ TEST(SolveCacheTest, WarmInsertSkipsCountersAndObserver) {
 }
 
 TEST(SolveCacheTest, ExportEntriesRoundTripsRecencyThroughInsert) {
-  SolveCache cache(CacheOptions{4 * 200, 1});
+  SolveCache cache(CacheOptions{4 * 200});
   const auto fill = [&cache](std::uint64_t k) {
     return cache.get_or_compute(key_of(k), [k]() {
       return small_solve(static_cast<Height>(k));
@@ -318,7 +280,7 @@ TEST(SolveCacheTest, ExportEntriesRoundTripsRecencyThroughInsert) {
 
   // Re-inserting the export in order reproduces the recency order in a
   // fresh cache: under pressure the same keys survive.
-  SolveCache copy(CacheOptions{4 * 200, 1});
+  SolveCache copy(CacheOptions{4 * 200});
   for (const CacheEntryView& entry : cache.export_entries()) {
     copy.insert(entry.key, *entry.value);
   }
@@ -330,6 +292,107 @@ TEST(SolveCacheTest, ExportEntriesRoundTripsRecencyThroughInsert) {
   (void)fill_copy(4);
   (void)fill_copy(5);  // evicts the cold end: 2, then 3 — never 1
   EXPECT_EQ(fill_copy(1).outcome, CacheOutcome::kHit);
+}
+
+TEST(SolveCacheTest, LruOrderIsGlobalAcrossTheWholeBudget) {
+  // A budget large enough that a per-key split (a lock shard per hash
+  // bucket) would evict from whichever slice filled first: one cache-wide
+  // LRU must evict exactly the globally coldest key, and only once the
+  // whole budget overflows.
+  constexpr std::size_t kBudget = 64 << 10;
+  SolveCache cache(CacheOptions{kBudget});
+  const auto fill = [&cache](std::uint64_t k) {
+    return cache.get_or_compute(key_of(k), [k]() {
+      return small_solve(static_cast<Height>(k));
+    });
+  };
+  (void)fill(0);
+  const std::size_t per_entry = cache.stats().bytes;
+  const std::uint64_t fits = kBudget / per_entry;
+  ASSERT_GT(fits, 64u);
+  for (std::uint64_t k = 1; k < fits; ++k) (void)fill(k);
+  ASSERT_EQ(cache.stats().entries, fits);
+  ASSERT_EQ(cache.stats().evictions, 0u);
+
+  EXPECT_EQ(fill(0).outcome, CacheOutcome::kHit);  // key 1 is now coldest
+  (void)fill(fits);                                // one past the budget
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, fits);
+  EXPECT_LE(stats.bytes, kBudget);
+  const std::vector<CacheEntryView> entries = cache.export_entries();
+  ASSERT_EQ(entries.size(), fits);
+  EXPECT_EQ(entries.front().key, key_of(2)) << "coldest survivor";
+  EXPECT_EQ(entries.back().key, key_of(fits)) << "warmest entry";
+  for (const std::uint64_t k : {std::uint64_t{0}, std::uint64_t{2}, fits}) {
+    EXPECT_EQ(fill(k).outcome, CacheOutcome::kHit) << "key " << k;
+  }
+  EXPECT_EQ(fill(1).outcome, CacheOutcome::kMiss) << "key 1 was the LRU";
+}
+
+TEST(SolveCacheTest, EntryAboveAnEighthOfTheBudgetIsCached) {
+  // The oversized rule is measured against the whole budget: a value a
+  // quarter of the budget is cached, not counted oversized.
+  constexpr std::size_t kBudget = 64 << 10;
+  SolveCache cache(CacheOptions{kBudget});
+  CachedSolve big = small_solve(5);
+  big.winner = std::string(kBudget / 4, 'w');
+  const auto compute = [&big]() { return big; };
+  EXPECT_EQ(cache.get_or_compute(key_of(1), compute).outcome,
+            CacheOutcome::kMiss);
+  EXPECT_EQ(cache.get_or_compute(key_of(1), compute).outcome,
+            CacheOutcome::kHit);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.oversized, 0u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_GT(stats.bytes, kBudget / 8);
+}
+
+TEST(SolveCacheTest, StatsStayConsistentWhileServing) {
+  // Four serving threads mix misses, hits and joins over overlapping keys
+  // in a budget of a few entries (so evictions run too); a fifth reads
+  // stats() throughout.  Every read is one locked snapshot, so the byte
+  // charge always matches the resident set and the budget.
+  constexpr std::size_t kBudget = 4 * 200;
+  constexpr int kWorkers = 4;
+  constexpr int kLookupsPerWorker = 400;
+  constexpr std::int64_t kKeys = 8;
+  constexpr std::uint64_t kEntryOverhead = 128;
+  SolveCache cache(CacheOptions{kBudget});
+  std::atomic<int> running{kWorkers};
+  std::atomic<int> over_budget{0};
+  std::atomic<int> under_charged{0};
+  std::thread reader([&]() {
+    do {
+      const CacheStats stats = cache.stats();
+      if (stats.bytes > kBudget) ++over_budget;
+      if (stats.bytes < stats.entries * kEntryOverhead) ++under_charged;
+    } while (running.load() > 0);
+  });
+  std::vector<std::thread> workers;
+  workers.reserve(kWorkers);
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&cache, &running, w]() {
+      Rng rng(31 + static_cast<std::uint64_t>(w));
+      for (int i = 0; i < kLookupsPerWorker; ++i) {
+        const auto k = static_cast<std::uint64_t>(rng.uniform(0, kKeys - 1));
+        (void)cache.get_or_compute(key_of(k), [k]() {
+          // Hold the flight open briefly so concurrent lookups join it.
+          for (int spin = 0; spin < 20; ++spin) std::this_thread::yield();
+          return small_solve(static_cast<Height>(k));
+        });
+      }
+      --running;
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  reader.join();
+  EXPECT_EQ(over_budget.load(), 0);
+  EXPECT_EQ(under_charged.load(), 0);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.inflight_joins,
+            static_cast<std::uint64_t>(kWorkers * kLookupsPerWorker));
+  EXPECT_GT(stats.evictions, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -566,11 +629,11 @@ TEST(CachingSolverTest, NewerSolverShadowsEveryExportedGaugeOfAnOlderOne) {
   const auto exported = []() {
     return obs::parse_exposition(obs::Registry::global().prometheus_text());
   };
-  CachingSolver older(ServeParams{}, CacheOptions{2 << 20, 1});
+  CachingSolver older(ServeParams{}, CacheOptions{2 << 20});
   {
     ServeParams params;
     params.engine = ServeEngine::kSolve54;
-    CachingSolver newer(params, CacheOptions{3 << 20, 1});
+    CachingSolver newer(params, CacheOptions{3 << 20});
     const auto samples = exported();
     EXPECT_EQ(samples.at("dsp_serve_engine_solve54"), 1u);
     EXPECT_EQ(samples.at("dsp_serve_engine_portfolio"), 0u);
